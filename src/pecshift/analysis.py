@@ -221,10 +221,9 @@ def freespace_errors(state: FieldState, setup: SimulationSetup,
     interior (full-stencil) nodes."""
     g = setup.grid
     sl = np.s_[1:-1, 1:-1]
-    ihx, ihy, iez = incident_wave(g.x[sl], g.y[sl], state.time, omega)
+    ihx, _, iez = incident_wave(g.x[sl], g.y[sl], state.time, omega)
     err_ez = float(np.mean(np.abs(state.ez[sl] - iez)))
     err_hx = float(np.mean(np.abs(state.hx[sl] - ihx)))
-    del ihy
     return err_ez, err_hx
 
 

@@ -2,7 +2,7 @@
 
 One ``key = value`` assignment per line, ``#`` starts a comment. Unknown
 keys and malformed values are rejected with the offending key named.
-The full schema is documented in the README.
+The keys are the fields of :class:`SimulationConfig`, documented there.
 """
 
 from __future__ import annotations
@@ -21,12 +21,31 @@ class ConfigError(ValueError):
 
 @dataclass
 class SimulationConfig:
+    """Every input of a run or study; each field is a config key.
+
+    - ``domain_{x,y}{min,max}``: the rectangle, meshed with n x n nodes.
+    - ``shape``: ``circle`` (``circle_*``), ``half_moon`` (the
+      ``moon_outer_*`` disc minus the ``moon_cutter_*`` disc) or ``none``.
+    - ``grid_size``: n of a single run; ``grid_sizes``: the increasing
+      ladder of a convergence study (comma or space separated);
+      ``reference_size``: its reference run, at least twice the largest.
+    - ``cfl`` (dt/dx), ``omega`` (incident angular frequency),
+      ``final_time`` (at most the time the scattered field needs to reach
+      the domain edge), ``scheme`` (``bfecc`` or ``plain``).
+    - ``band_width``: the study's error-sampling band outside the PEC, in
+      coarsest-grid dx units.
+    - ``snapshot_every``: steps between field snapshots of ``run``, 0 =
+      off; ``output_dir``: where results are written.
+    - ``parallel_grids``: run the study grids in a pool of ``threads``
+      worker processes. Booleans accept 1/0, true/false, yes/no, on/off.
+    """
+
     domain_xmin: float = 0.0
     domain_xmax: float = 10.0
     domain_ymin: float = 0.0
     domain_ymax: float = 10.0
 
-    shape: str = "circle"                    # circle | half_moon | none
+    shape: str = "circle"
     circle_center_x: float = 5.0
     circle_center_y: float = 5.0
     circle_radius: float = 2.0
@@ -37,26 +56,16 @@ class SimulationConfig:
     moon_cutter_center_y: float = 5.0
     moon_cutter_radius: float = 2.0
 
-    grid_size: int = 100                     # single-run grid
-    grid_sizes: tuple = (100, 200, 400)      # convergence-study ladder
+    grid_size: int = 100
+    grid_sizes: tuple = (100, 200, 400)
     reference_size: int = 800
-    cfl: float = 1.0                         # dt / dx
+    cfl: float = 1.0
     omega: float = 2 * math.pi / 0.6
     final_time: float = 1.0
-    scheme: str = "bfecc"                    # bfecc | plain
-    band_width: float = 10.0                 # error band, coarsest-dx units
+    scheme: str = "bfecc"
+    band_width: float = 10.0
 
-    redistance_cfl: float = 0.2
-    redistance_tol: float = 1e-3
-    redistance_max_iter: int = 0             # 0 = auto (5 * max grid size)
-    redistance_band: float = 0.0             # half-width in dx units, 0 = whole domain
-    redistance_blend: float = 0.2            # Lax-Friedrichs averaging weight
-    extension_max_steps: int = 400
-    extension_cfl: float = 0.2
-    extension_tol: float = 1e-9
-    extension_band: float = 12.0             # update-band depth in dx units
-
-    snapshot_every: int = 0                  # steps between snapshots, 0 = off
+    snapshot_every: int = 0
     output_dir: str = "out"
     threads: int = 1
     parallel_grids: bool = False
@@ -98,12 +107,6 @@ class SimulationConfig:
             raise ConfigError(f"scheme: unknown scheme {self.scheme!r}")
         if self.band_width <= 0:
             raise ConfigError("band_width: must be positive")
-        if not 0.0 <= self.redistance_blend <= 1.0:
-            raise ConfigError("redistance_blend: must lie in [0, 1]")
-        if self.extension_max_steps < 1:
-            raise ConfigError("extension_max_steps: must be at least 1")
-        if self.extension_band < 2:
-            raise ConfigError("extension_band: must be at least 2 dx")
         if self.threads < 1:
             raise ConfigError("threads: must be at least 1")
         shape = self.make_shape()

@@ -206,13 +206,13 @@ def _fill_from_neighbors(nx_: np.ndarray, ny_: np.ndarray, bad: np.ndarray) -> N
 def build_levelset(shape: Shape,
                    grid: GridTopology,
                    classes: np.ndarray,
-                   fits: Optional[FitTable] = None,
-                   **redistance_kwargs) -> LevelSetData:
-    """Initialize, redistance, and derive the unit frame in one call."""
+                   fits: Optional[FitTable] = None) -> LevelSetData:
+    """Initialize, redistance with the default settings, and derive the
+    unit frame in one call."""
     if fits is None:
         fits = FitTable.build(grid)
     phi = initialize_phi(shape, grid)
-    phi = redistance(phi, grid, classes, fits=fits, **redistance_kwargs)
+    phi = redistance(phi, grid, classes, fits=fits)
     nx_, ny_, tx, ty = compute_normals_tangents(phi, grid, fits=fits)
     return LevelSetData(phi=phi, normal_x=nx_, normal_y=ny_,
                         tangent_x=tx, tangent_y=ty)

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import grid as lattice, levelset, shapes
 from .extension import GhostExtender
 from .grid import GridTopology, NodeClass
 from .levelset import LevelSetData
@@ -223,14 +224,6 @@ class MaxwellStepper:
         return state
 
 
-def maxwell_sweep(state: FieldState, direction: str, dt: float,
-                  fits: FitTable, classes: np.ndarray,
-                  grid: GridTopology) -> FieldState:
-    """Functional single-sweep entry point (fresh stepper, no PEC data)."""
-    stepper = MaxwellStepper(grid, classes, fits)
-    return stepper.sweep(state, direction, dt)
-
-
 @dataclass
 class SimulationSetup:
     """Static geometry and operators for one grid size."""
@@ -244,40 +237,28 @@ class SimulationSetup:
 
 
 def build_setup(config, n: int) -> SimulationSetup:
-    """Grid, point shift, level set, fit operators, and stepper for size n."""
-    from .config import SimulationConfig  # noqa: F401  (typing aid only)
-    from .grid import build_uniform_grid, apply_point_shift, classify_nodes
-    from .levelset import build_levelset, initialize_phi
-    from .shapes import boundary_intersections
-    from .stencil import FitTable as _FitTable
+    """Grid, point shift, level set, fit operators, and stepper for size n.
 
+    The geometry stages are called through their modules, so wrappers
+    installed on those module attributes (tracing, profiling) see them."""
     domain = config.domain()
     shape = config.make_shape()
-    grid = build_uniform_grid(domain, n, n)
+    grid = lattice.build_uniform_grid(domain, n, n)
     if shape is not None:
-        pts = boundary_intersections(shape, grid.lattice_x(), grid.lattice_y())
-        grid = apply_point_shift(grid, pts)
-    fits = _FitTable.build(grid)
+        pts = shapes.boundary_intersections(shape, grid.lattice_x(),
+                                            grid.lattice_y())
+        grid = lattice.apply_point_shift(grid, pts)
+    fits = FitTable.build(grid)
 
     if shape is None:
         classes = np.zeros(grid.shape, dtype=np.int8)
         ls = None
         extender = None
     else:
-        classes = classify_nodes(grid, initialize_phi(shape, grid))
-        max_iter = config.redistance_max_iter or None
-        band = config.redistance_band or None
-        ls = build_levelset(shape, grid, classes, fits=fits,
-                            pseudo_cfl=config.redistance_cfl,
-                            tol=config.redistance_tol,
-                            max_iter=max_iter,
-                            band_halfwidth=band,
-                            value_blend=config.redistance_blend)
-        extender = GhostExtender(grid, ls, classes, fits,
-                                 max_steps=config.extension_max_steps,
-                                 pseudo_cfl=config.extension_cfl,
-                                 tol=config.extension_tol,
-                                 band=config.extension_band)
+        classes = lattice.classify_nodes(grid,
+                                         levelset.initialize_phi(shape, grid))
+        ls = levelset.build_levelset(shape, grid, classes, fits=fits)
+        extender = GhostExtender(grid, ls, classes, fits)
     stepper = MaxwellStepper(grid, classes, fits, ls=ls, extender=extender,
                              omega=config.omega)
     return SimulationSetup(grid=grid, classes=classes, fits=fits, ls=ls,

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from pecshift.extension import (GhostExtender, constant_extend, decompose,
-                                extend_e, extend_h, normal_derivatives,
+from pecshift.extension import (GhostExtender, decompose, normal_derivatives,
                                 recompose)
 from pecshift.grid import NodeClass
 from pecshift.levelset import LevelSetData
@@ -65,45 +64,39 @@ class TestNormalDerivatives:
 
 
 class TestConstantExtend:
-    def test_constant_field_unchanged(self, planar_101):
-        grid, classes, fits, ls, *_ = planar_101
-        field = np.full(grid.shape, 4.5)
-        out = constant_extend(field, ls, grid, classes, fits,
-                              update_region="phi_pos", steps=30)
-        assert np.abs(out - 4.5).max() <= 1e-12
+    """Constant extension along the normal: the transport sweeps alone."""
 
-    def test_row_transport_oracle(self, planar_101):
+    def test_constant_field_unchanged(self, planar_101, planar_extender_101):
+        grid, *_ = planar_101
+        field = np.full(grid.shape, 4.5)
+        planar_extender_101.region_pos.sweep(field)
+        assert np.abs(field - 4.5).max() <= 1e-12
+
+    def test_row_transport_oracle(self, planar_101, planar_extender_101):
         grid, classes, fits, ls, ghosts, x_wall = planar_101
         g_of_y = np.sin(1.3 * grid.y)
         field = g_of_y.copy()
         field[ls.phi > 0] = 7.0  # garbage inside
-        out = constant_extend(field, ls, grid, classes, fits,
-                              update_region="phi_pos", steps=400, tol=1e-12)
+        planar_extender_101.region_pos.sweep(field)
         # ghost values match the same row's exterior profile
-        assert np.abs(out[ghosts] - g_of_y[ghosts]).max() <= 0.05 * 1.3 ** 2
+        assert np.abs(field[ghosts] - g_of_y[ghosts]).max() <= 0.05 * 1.3 ** 2
 
-    def test_frozen_side_bitwise(self, planar_101):
+    def test_frozen_side_bitwise(self, planar_101, planar_extender_101):
         grid, classes, fits, ls, *_ = planar_101
         rng = np.random.default_rng(5)
         field = rng.normal(size=grid.shape)
-        out = constant_extend(field, ls, grid, classes, fits,
-                              update_region="phi_nonneg", steps=50)
+        out = field.copy()
+        planar_extender_101.region_nonneg.sweep(out)
         neg = ls.phi < 0
         assert np.array_equal(out[neg], field[neg])
-        # phi_pos mode also freezes the boundary trace
-        out2 = constant_extend(field, ls, grid, classes, fits,
-                               update_region="phi_pos", steps=50)
+        # region_pos also freezes the boundary trace
+        out2 = field.copy()
+        planar_extender_101.region_pos.sweep(out2)
         assert np.array_equal(out2[ls.phi <= 0], field[ls.phi <= 0])
-
-    def test_unknown_region_rejected(self, planar_101):
-        grid, classes, fits, ls, *_ = planar_101
-        with pytest.raises(ValueError, match="update_region"):
-            constant_extend(np.zeros(grid.shape), ls, grid, classes, fits,
-                            update_region="everywhere")
 
 
 class TestExtendH:
-    def test_taylor_assembly_values(self, planar_101):
+    def test_taylor_assembly_values(self, planar_101, planar_extender_101):
         # transported pieces: d(H.n)/dn = 2, H.t trace = 5, d(H.t)/dn = 3
         # at a ghost with phi = 0.1 the two-term expansions give
         # H.n = 0.2 and H.t = 5 - 0.3 = 4.7
@@ -111,14 +104,14 @@ class TestExtendH:
         s = grid.x - x_wall
         hx = 2.0 * s            # H.n since n = (1, 0); zero trace at the wall
         hy = -(5.0 + 3.0 * s)   # H.t = -hy = 5 + 3 s
-        hx2, hy2 = extend_h(hx, hy, ls, grid, classes, fits)
+        planar_extender_101.extend_h(hx, hy)
         d = s[ghosts]
         # tolerance floor: garbage beyond the update band leaks ~3^-12
-        np.testing.assert_allclose(hx2[ghosts], 2.0 * d, atol=1e-4)
-        np.testing.assert_allclose(-hy2[ghosts], 5.0 - 3.0 * d, atol=1e-4)
+        np.testing.assert_allclose(hx[ghosts], 2.0 * d, atol=1e-4)
+        np.testing.assert_allclose(-hy[ghosts], 5.0 - 3.0 * d, atol=1e-4)
         assert d[0] == pytest.approx(grid.dx)
 
-    def test_odd_even_mirror_oracle(self, planar_101):
+    def test_odd_even_mirror_oracle(self, planar_101, planar_extender_101):
         grid, classes, fits, ls, ghosts, x_wall = planar_101
         a, b = 1.3, 0.7
         hx = a * (x_wall - grid.x)
@@ -127,21 +120,21 @@ class TestExtendH:
         hx[inside] = 9.0
         hy[inside] = -9.0
         hx[grid.shifted] = 0.0
-        hx2, hy2 = extend_h(hx, hy, ls, grid, classes, fits)
+        planar_extender_101.extend_h(hx, hy)
         d = grid.x[ghosts] - x_wall
         # odd mirror: Hx(wall + d) = -Hx(wall - d) = -a d; even: Hy = b
-        np.testing.assert_allclose(hx2[ghosts], -a * d, atol=1e-4)
-        np.testing.assert_allclose(hy2[ghosts], b, atol=1e-4)
+        np.testing.assert_allclose(hx[ghosts], -a * d, atol=1e-4)
+        np.testing.assert_allclose(hy[ghosts], b, atol=1e-4)
 
-    def test_zero_field_zero_ghosts(self, planar_101):
+    def test_zero_field_zero_ghosts(self, planar_101, planar_extender_101):
         grid, classes, fits, ls, ghosts, *_ = planar_101
         hx = np.zeros(grid.shape)
         hy = np.zeros(grid.shape)
         hx[ls.phi > 0] = 5.0
         hy[ls.phi > 0] = -5.0
-        hx2, hy2 = extend_h(hx, hy, ls, grid, classes, fits)
-        assert np.abs(hx2[ghosts]).max() <= 1e-4
-        assert np.abs(hy2[ghosts]).max() <= 1e-4
+        planar_extender_101.extend_h(hx, hy)
+        assert np.abs(hx[ghosts]).max() <= 1e-4
+        assert np.abs(hy[ghosts]).max() <= 1e-4
 
     def test_exterior_bitwise_frozen(self, planar_101, planar_extender_101):
         grid, classes, fits, ls, *_ = planar_101
@@ -158,24 +151,25 @@ class TestExtendH:
 
 
 class TestExtendE:
-    def test_sine_odd_mirror(self, planar_101):
+    def test_sine_odd_mirror(self, planar_101, planar_extender_101):
         grid, classes, fits, ls, ghosts, x_wall = planar_101
         ez = np.sin(x_wall - grid.x)
         ez[ls.phi > 0] = 9.0
         ez[grid.shifted] = 0.0
-        ez2 = extend_e(ez, ls, grid, classes, fits)
+        planar_extender_101.extend_e(ez)
         d = grid.x[ghosts] - x_wall
         mirror = -np.sin(d)
-        np.testing.assert_allclose(ez2[ghosts], mirror, atol=5e-3)
+        np.testing.assert_allclose(ez[ghosts], mirror, atol=5e-3)
 
-    def test_zero_and_tangential_fields(self, planar_101):
+    def test_zero_and_tangential_fields(self, planar_101, planar_extender_101):
         grid, classes, fits, ls, ghosts, *_ = planar_101
         ez = np.zeros(grid.shape)
-        assert np.abs(extend_e(ez, ls, grid, classes, fits)[ghosts]).max() == 0.0
+        planar_extender_101.extend_e(ez)
+        assert np.abs(ez[ghosts]).max() == 0.0
         # tangential-only variation has zero normal derivative
         ez = np.sin(0.9 * grid.y)
-        ez2 = extend_e(ez, ls, grid, classes, fits)
-        assert np.abs(ez2[ghosts]).max() <= 2e-3
+        planar_extender_101.extend_e(ez)
+        assert np.abs(ez[ghosts]).max() <= 2e-3
 
 
 class TestOrderOfAccuracy:
