@@ -227,7 +227,7 @@ def freespace_errors(state: FieldState, setup: SimulationSetup,
     return err_ez, err_hx
 
 
-def freespace_study(config, scheme: Optional[str] = None) -> ErrorReport:
+def freespace_study(config) -> ErrorReport:
     """Plane-wave accuracy ladder in free space (no PEC), measured against
     the analytic solution rather than a reference grid."""
     if config.make_shape() is not None:
@@ -235,14 +235,9 @@ def freespace_study(config, scheme: Optional[str] = None) -> ErrorReport:
     sizes = list(config.grid_sizes)
     report = ErrorReport(grid_sizes=sizes, sample_counts=[], err_ez=[],
                          err_hx=[],
-                         label=f"free space, scheme={scheme or config.scheme}")
+                         label=f"free space, scheme={config.scheme}")
     for n in sizes:
-        cfg = config
-        if scheme is not None and scheme != config.scheme:
-            import copy
-            cfg = copy.copy(config)
-            cfg.scheme = scheme
-        state, setup = run_simulation(cfg, n=n)
+        state, setup = run_simulation(config, n=n)
         err_ez, err_hx = freespace_errors(state, setup, config.omega)
         report.sample_counts.append((n - 2) * (n - 2))
         report.err_ez.append(err_ez)

@@ -4,7 +4,9 @@ level-set diagnostics from a config file."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -16,7 +18,7 @@ from .config import ConfigError, load_config
 from .export import export_field, export_grid, export_vtk
 from .grid import NodeClass
 from .levelset import gradient_with_edges
-from .solver import run_simulation
+from .solver import build_setup, run_simulation
 
 logger = logging.getLogger("pecshift")
 
@@ -44,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _output_dir(cfg, args) -> Path:
-    import os
     chosen = args.output_dir or os.environ.get("PECSHIFT_OUTPUT_DIR") or cfg.output_dir
     out = Path(chosen)
     out.mkdir(parents=True, exist_ok=True)
@@ -87,8 +88,6 @@ def _cmd_convergence(cfg, out: Path, threads: int) -> int:
 
 
 def _cmd_redistance(cfg, out: Path) -> int:
-    from .solver import build_setup
-
     setup = build_setup(cfg, cfg.grid_size)
     if setup.ls is None:
         print("error: redistance diagnostics need a shape", file=sys.stderr)
@@ -114,13 +113,10 @@ def _cmd_redistance(cfg, out: Path) -> int:
 
 
 def _cmd_freespace(cfg, out: Path) -> int:
-    import copy
-
-    if cfg.make_shape() is not None:
-        cfg = copy.copy(cfg)
-        cfg.shape = "none"
-    plain = freespace_study(cfg, scheme="plain")
-    bfecc = freespace_study(cfg, scheme="bfecc")
+    plain = freespace_study(dataclasses.replace(cfg, shape="none",
+                                                scheme="plain"))
+    bfecc = freespace_study(dataclasses.replace(cfg, shape="none",
+                                                scheme="bfecc"))
     print(plain.to_text())
     print()
     print(bfecc.to_text())

@@ -26,8 +26,8 @@ class SimulationConfig:
     - ``domain_{x,y}{min,max}``: the rectangle, meshed with n x n nodes.
     - ``shape``: ``circle`` (``circle_*``), ``half_moon`` (the
       ``moon_outer_*`` disc minus the ``moon_cutter_*`` disc) or ``none``.
-    - ``grid_size``: n of a single run; ``grid_sizes``: the increasing
-      ladder of a convergence study (comma or space separated);
+    - ``grid_size``: n of a single run; ``grid_sizes``: the strictly
+      increasing ladder of a convergence study (comma or space separated);
       ``reference_size``: its reference run, at least twice the largest.
     - ``cfl`` (dt/dx), ``omega`` (incident angular frequency),
       ``final_time`` (at most the time the scattered field needs to reach
@@ -97,8 +97,8 @@ class SimulationConfig:
                 raise ConfigError(f"{name}: must be at least 8")
         if not self.grid_sizes or any(n < 8 for n in self.grid_sizes):
             raise ConfigError("grid_sizes: every entry must be at least 8")
-        if list(self.grid_sizes) != sorted(self.grid_sizes):
-            raise ConfigError("grid_sizes: must be increasing")
+        if any(b <= a for a, b in zip(self.grid_sizes, self.grid_sizes[1:])):
+            raise ConfigError("grid_sizes: must be strictly increasing")
         if self.cfl <= 0:
             raise ConfigError("cfl: must be positive")
         if self.final_time <= 0:

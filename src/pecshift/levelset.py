@@ -17,12 +17,20 @@ from typing import Optional
 import numpy as np
 
 from .grid import GridTopology, NodeClass
-from .shapes import Shape, interior_function
+from .shapes import Shape
 from .stencil import FitTable
 
 logger = logging.getLogger(__name__)
 
 DEGENERATE_NORM = 1e-8
+
+# Redistancing: pseudo-time step in dx, stopping threshold on the largest
+# per-node update in dx, and the share of the 5-point fitted value mixed
+# into each update. The blended fixed point depends on the ratio of blend
+# to pseudo-CFL, so these are properties of the scheme, not run settings.
+PSEUDO_CFL = 0.2
+TOL = 1e-3
+VALUE_BLEND = 0.2
 
 
 class DegenerateNormalError(ValueError):
@@ -53,7 +61,7 @@ def smoothed_sign(x, dx: float):
 def initialize_phi(shape: Shape, grid: GridTopology) -> np.ndarray:
     """Analytic sign-correct seed for redistancing (exact for the circle),
     with shifted boundary nodes forced to exactly zero."""
-    phi = np.asarray(interior_function(shape, grid.x, grid.y), dtype=float)
+    phi = np.asarray(shape.level(grid.x, grid.y), dtype=float)
     phi[grid.shifted] = 0.0
     return phi
 
@@ -75,38 +83,31 @@ def gradient_with_edges(phi: np.ndarray, grid: GridTopology, fits: FitTable):
 def redistance(phi0: np.ndarray,
                grid: GridTopology,
                classes: np.ndarray,
-               fits: Optional[FitTable] = None,
-               pseudo_cfl: float = 0.2,
-               tol: float = 1e-3,
-               max_iter: Optional[int] = None,
+               fits: FitTable,
                band_halfwidth: Optional[float] = None,
-               value_blend: float = 0.2,
                history: Optional[list] = None) -> np.ndarray:
     """Drive phi toward a signed distance function.
 
     Iterates ``phi <- phi - dtau * sgn(phi) * (||grad phi|| - 1)`` with
-    least-squares gradients and ``dtau = pseudo_cfl * dx``, pinning
+    least-squares gradients and ``dtau = PSEUDO_CFL * dx``, pinning
     boundary nodes to zero, until the largest per-node update falls below
-    ``tol * dx`` or ``max_iter`` sweeps.
+    ``TOL * dx`` or after enough sweeps for the pseudo-time front to cross
+    the grid once.
 
-    ``value_blend`` mixes the 5-point fitted value into the time term
+    ``VALUE_BLEND`` mixes the 5-point fitted value into the time term
     (``phi <- phi + blend*(fitted - phi) - ...``). The central-difference
     gradient needs some of that Lax-Friedrichs dissipation to stay stable
     at distance-function kinks (cone tips, crescent corners); full
     averaging (blend 1) shifts the equilibrium away from the true distance
-    by about 2.5 dx^2, so the default keeps the blend small.
+    by about 2.5 dx^2, so the blend is kept small.
 
     ``band_halfwidth`` (in dx units) restricts updates to a band around
-    the interface, leaving the seed untouched elsewhere.
+    the interface, leaving the seed untouched elsewhere. ``history``, when
+    given, receives the largest update of every sweep.
     """
-    if not 0.0 <= value_blend <= 1.0:
-        raise ValueError(f"value_blend must lie in [0, 1], got {value_blend}")
-    if fits is None:
-        fits = FitTable.build(grid)
     h = max(grid.dx, grid.dy)
-    dtau = pseudo_cfl * h
-    if max_iter is None:
-        max_iter = int(round((10 / pseudo_cfl) * max(grid.nx, grid.ny) / 10))
+    dtau = PSEUDO_CFL * h
+    max_iter = int(round(max(grid.nx, grid.ny) / PSEUDO_CFL))
 
     boundary = classes == NodeClass.BOUNDARY
     frozen = boundary.copy()
@@ -127,21 +128,20 @@ def redistance(phi0: np.ndarray,
         norm = np.hypot(gx, gy)
         s = smoothed_sign(phi, h)
         update = -dtau * s * (norm - 1.0)
-        if value_blend > 0.0:
-            update += value_blend * (fits.value(phi) - phi)
+        update += VALUE_BLEND * (fits.value(phi) - phi)
         update[frozen] = 0.0
         phi += update
         phi[boundary] = 0.0
         last_update = float(np.abs(update).max())
         if history is not None:
             history.append(last_update)
-        if last_update < tol * h:
+        if last_update < TOL * h:
             break
     else:
-        if last_update > 10 * tol * h:
+        if last_update > 10 * TOL * h:
             warnings.warn(
                 f"redistancing hit max_iter={max_iter} with max update "
-                f"{last_update:.3e} > {10 * tol * h:.3e}",
+                f"{last_update:.3e} > {10 * TOL * h:.3e}",
                 RedistanceConvergenceWarning, stacklevel=2)
     logger.debug("redistance: %d iterations, final update %.3e",
                  iterations, last_update)
@@ -150,7 +150,7 @@ def redistance(phi0: np.ndarray,
 
 def compute_normals_tangents(phi: np.ndarray,
                              grid: GridTopology,
-                             fits: Optional[FitTable] = None):
+                             fits: FitTable):
     """Unit normal n = grad(phi)/||grad(phi)|| and clockwise tangent
     t = (n_y, -n_x) at every node.
 
@@ -159,8 +159,6 @@ def compute_normals_tangents(phi: np.ndarray,
     valid normal is copied instead, since those nodes never feed a stencil
     that matters.
     """
-    if fits is None:
-        fits = FitTable.build(grid)
     gx, gy = gradient_with_edges(phi, grid, fits)
     norm = np.hypot(gx, gy)
     bad = norm < DEGENERATE_NORM
@@ -203,16 +201,13 @@ def _fill_from_neighbors(nx_: np.ndarray, ny_: np.ndarray, bad: np.ndarray) -> N
         raise DegenerateNormalError("no valid normals anywhere on the grid")
 
 
-def build_levelset(shape: Shape,
+def build_levelset(phi0: np.ndarray,
                    grid: GridTopology,
                    classes: np.ndarray,
-                   fits: Optional[FitTable] = None) -> LevelSetData:
-    """Initialize, redistance with the default settings, and derive the
-    unit frame in one call."""
-    if fits is None:
-        fits = FitTable.build(grid)
-    phi = initialize_phi(shape, grid)
-    phi = redistance(phi, grid, classes, fits=fits)
-    nx_, ny_, tx, ty = compute_normals_tangents(phi, grid, fits=fits)
+                   fits: FitTable) -> LevelSetData:
+    """Redistance the seed ``phi0`` (see :func:`initialize_phi`) and derive
+    the unit frame in one call."""
+    phi = redistance(phi0, grid, classes, fits)
+    nx_, ny_, tx, ty = compute_normals_tangents(phi, grid, fits)
     return LevelSetData(phi=phi, normal_x=nx_, normal_y=ny_,
                         tangent_x=tx, tangent_y=ty)

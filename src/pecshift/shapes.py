@@ -38,6 +38,18 @@ class Circle:
     cy: float
     r: float
 
+    def level(self, x, y):
+        """Exact signed distance to the circle, positive inside."""
+        return self.r - np.hypot(x - self.cx, y - self.cy)
+
+    @property
+    def circles(self) -> tuple["Circle", ...]:
+        return (self,)
+
+    @property
+    def corners(self) -> np.ndarray:
+        return np.empty((0, 2))
+
 
 @dataclass(frozen=True)
 class HalfMoon:
@@ -50,7 +62,38 @@ class HalfMoon:
     outer: Circle
     cutter: Circle
 
+    def level(self, x, y):
+        """CSG level function min(phi_outer, -phi_cutter), positive inside
+        the crescent. Equals the true signed distance except in regions
+        whose nearest boundary point is a corner; redistancing corrects
+        those."""
+        return np.minimum(self.outer.level(x, y), -self.cutter.level(x, y))
 
+    @property
+    def circles(self) -> tuple[Circle, ...]:
+        return (self.outer, self.cutter)
+
+    @property
+    def corners(self) -> np.ndarray:
+        """The two intersection points of the outer and cutter circles, (2, 2)."""
+        c1, c2 = self.outer, self.cutter
+        dx, dy = c2.cx - c1.cx, c2.cy - c1.cy
+        d = math.hypot(dx, dy)
+        if not abs(c1.r - c2.r) < d < c1.r + c2.r:
+            raise ShapeError(
+                "half-moon disks must intersect at exactly two points "
+                f"(centers {d:.6g} apart, radii {c1.r:.6g}/{c2.r:.6g})")
+        a = (d * d + c1.r * c1.r - c2.r * c2.r) / (2 * d)
+        h = math.sqrt(c1.r * c1.r - a * a)
+        ux, uy = dx / d, dy / d
+        mx, my = c1.cx + a * ux, c1.cy + a * uy
+        return np.array([[mx - h * uy, my + h * ux],
+                         [mx + h * uy, my - h * ux]])
+
+
+# Either kind offers ``level(x, y)`` (positive inside), ``circles`` (the
+# circles its boundary arcs lie on, the first one bounding the shape) and
+# ``corners`` (the points where two arcs meet).
 Shape = Union[Circle, HalfMoon]
 
 
@@ -59,80 +102,32 @@ class ShapeError(ValueError):
 
 
 def validate_shape(shape: Optional[Shape], domain: Domain) -> None:
-    """Check shape invariants: positive radii, proper disk overlap for the
-    crescent, and clearance >= radius/2 from every domain edge."""
+    """Check shape invariants: positive radii, arcs meeting at exactly two
+    corners for the crescent, and clearance >= radius/2 from every domain
+    edge."""
     if shape is None:
         return
-    if isinstance(shape, Circle):
-        if shape.r <= 0:
-            raise ShapeError(f"circle radius must be positive, got {shape.r}")
-        ref = shape
-    elif isinstance(shape, HalfMoon):
-        if shape.outer.r <= 0 or shape.cutter.r <= 0:
-            raise ShapeError("half-moon disk radii must be positive")
-        d = math.hypot(shape.cutter.cx - shape.outer.cx,
-                       shape.cutter.cy - shape.outer.cy)
-        if not (abs(shape.outer.r - shape.cutter.r) < d < shape.outer.r + shape.cutter.r):
-            raise ShapeError(
-                "half-moon disks must intersect at exactly two points "
-                f"(centers {d:.6g} apart, radii {shape.outer.r:.6g}/{shape.cutter.r:.6g})")
-        ref = shape.outer
-    else:
-        raise ShapeError(f"unsupported shape {type(shape).__name__}")
+    for c in shape.circles:
+        if c.r <= 0:
+            raise ShapeError(f"circle radius must be positive, got {c.r}")
+    shape.corners  # raises ShapeError if the crescent's disks do not cross
+    bound = shape.circles[0]
     clearance = edge_clearance(shape, domain)
-    if clearance < ref.r / 2:
+    if clearance < bound.r / 2:
         raise ShapeError(
             f"shape too close to domain edge: clearance {clearance:.6g} "
-            f"< radius/2 = {ref.r / 2:.6g}")
+            f"< radius/2 = {bound.r / 2:.6g}")
 
 
 def edge_clearance(shape: Shape, domain: Domain) -> float:
     """Minimum distance from the shape boundary to the domain edges.
 
-    The crescent boundary lies on its outer circle or inside it, so the
-    outer circle's clearance is a valid (conservative) bound for both kinds.
+    The boundary lies on or inside the shape's first circle, so that
+    circle's clearance is a valid (conservative) bound.
     """
-    c = shape.outer if isinstance(shape, HalfMoon) else shape
+    c = shape.circles[0]
     return min(c.cx - domain.xmin, domain.xmax - c.cx,
                c.cy - domain.ymin, domain.ymax - c.cy) - c.r
-
-
-def circle_signed_distance(circle: Circle, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact signed distance to the circle, positive inside."""
-    return circle.r - np.hypot(x - circle.cx, y - circle.cy)
-
-
-def halfmoon_interior_function(moon: HalfMoon, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """CSG level function min(phi_outer, -phi_cutter), positive inside the
-    crescent. Equals the true signed distance except in regions whose
-    nearest boundary point is a corner; redistancing corrects those."""
-    phi_outer = circle_signed_distance(moon.outer, x, y)
-    phi_cutter = circle_signed_distance(moon.cutter, x, y)
-    return np.minimum(phi_outer, -phi_cutter)
-
-
-def interior_function(shape: Shape, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if isinstance(shape, Circle):
-        return circle_signed_distance(shape, x, y)
-    if isinstance(shape, HalfMoon):
-        return halfmoon_interior_function(shape, x, y)
-    raise ShapeError(f"unsupported shape {type(shape).__name__}")
-
-
-def corner_points(moon: HalfMoon) -> np.ndarray:
-    """The two intersection points of the outer and cutter circles, (2, 2)."""
-    c1, c2 = moon.outer, moon.cutter
-    dx, dy = c2.cx - c1.cx, c2.cy - c1.cy
-    d = math.hypot(dx, dy)
-    a = (d * d + c1.r * c1.r - c2.r * c2.r) / (2 * d)
-    h_sq = c1.r * c1.r - a * a
-    if h_sq <= 0:
-        raise ShapeError("half-moon disks do not intersect transversally")
-    h = math.sqrt(h_sq)
-    ux, uy = dx / d, dy / d
-    mx, my = c1.cx + a * ux, c1.cy + a * uy
-    return np.array([[mx - h * uy, my + h * ux],
-                     [mx + h * uy, my - h * ux]])
 
 
 def _circle_line_crossings(circle: Circle, lines: np.ndarray, axis: int) -> np.ndarray:
@@ -161,28 +156,14 @@ def _circle_line_crossings(circle: Circle, lines: np.ndarray, axis: int) -> np.n
 def boundary_intersections(shape: Shape, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """All points where the shape boundary crosses a grid line, shape (m, 2).
 
-    ``xs``/``ys`` are the lattice line coordinates. For the crescent, each
-    circle's crossings are filtered to the arc that actually bounds the
-    crescent, and the two corner points are appended.
+    ``xs``/``ys`` are the lattice line coordinates. Each circle's crossings
+    are kept where they lie on the shape's boundary (|level| within 1e-12
+    of the largest radius), which drops the parts of a crescent's circles
+    that do not bound it; the corners are appended.
     """
-    if isinstance(shape, Circle):
-        return np.vstack([_circle_line_crossings(shape, xs, 0),
-                          _circle_line_crossings(shape, ys, 1)])
-    if isinstance(shape, HalfMoon):
-        tol = 1e-12 * max(shape.outer.r, shape.cutter.r)
-        outer_pts = np.vstack([_circle_line_crossings(shape.outer, xs, 0),
-                               _circle_line_crossings(shape.outer, ys, 1)])
-        cutter_pts = np.vstack([_circle_line_crossings(shape.cutter, xs, 0),
-                                _circle_line_crossings(shape.cutter, ys, 1)])
-        # Outer arc: outside (or on) the cutter disk.
-        if outer_pts.size:
-            d_cut = np.hypot(outer_pts[:, 0] - shape.cutter.cx,
-                             outer_pts[:, 1] - shape.cutter.cy)
-            outer_pts = outer_pts[d_cut >= shape.cutter.r - tol]
-        # Cutter arc: inside (or on) the outer disk.
-        if cutter_pts.size:
-            d_out = np.hypot(cutter_pts[:, 0] - shape.outer.cx,
-                             cutter_pts[:, 1] - shape.outer.cy)
-            cutter_pts = cutter_pts[d_out <= shape.outer.r + tol]
-        return np.vstack([outer_pts, cutter_pts, corner_points(shape)])
-    raise ShapeError(f"unsupported shape {type(shape).__name__}")
+    pts = np.vstack([_circle_line_crossings(c, lines, axis)
+                     for c in shape.circles
+                     for lines, axis in ((xs, 0), (ys, 1))])
+    tol = 1e-12 * max(c.r for c in shape.circles)
+    on_boundary = np.abs(shape.level(pts[:, 0], pts[:, 1])) <= tol
+    return np.vstack([pts[on_boundary], shape.corners])

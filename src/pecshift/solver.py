@@ -25,9 +25,6 @@ from .stencil import FitTable
 
 logger = logging.getLogger(__name__)
 
-FORWARD = "forward"
-BACKWARD = "backward"
-
 
 class StabilityError(RuntimeError):
     def __init__(self, step: int, time: float):
@@ -60,9 +57,9 @@ class MaxwellStepper:
     """Sweeps, boundary enforcement, and the BFECC driver for one geometry."""
 
     def __init__(self, grid: GridTopology, classes: np.ndarray,
-                 fits: FitTable, ls: Optional[LevelSetData] = None,
-                 extender: Optional[GhostExtender] = None,
-                 omega: float = 2 * np.pi / 0.6):
+                 fits: FitTable, omega: float,
+                 ls: Optional[LevelSetData] = None,
+                 extender: Optional[GhostExtender] = None):
         self.grid = grid
         self.classes = classes
         self.fits = fits
@@ -87,7 +84,7 @@ class MaxwellStepper:
 
     # -- elementary operations -------------------------------------------
 
-    def sweep(self, state: FieldState, direction: str, dt: float) -> FieldState:
+    def sweep(self, state: FieldState, dt: float) -> FieldState:
         """One explicit update of all exterior and boundary nodes.
 
         The update is ``A u + dt M u``: ``A`` is the 5-point fitted
@@ -98,34 +95,26 @@ class MaxwellStepper:
         dt-independent O(dx^2) part ``(A^2 - I) u`` is what BFECC
         compensates.
 
-        The backward direction applies the identical operator with the
-        spatial terms negated, i.e. sweep(s, backward, dt) is bit-identical
-        to sweep(s, forward, -dt). Ghost, deep-interior, and ring nodes
-        keep their values.
+        ``dt`` is signed: a backward sweep is the same call with ``-dt``.
+        Ghost, deep-interior, and ring nodes keep their values.
         """
-        if direction == FORWARD:
-            sdt = dt
-        elif direction == BACKWARD:
-            sdt = -dt
-        else:
-            raise ValueError(f"unknown direction {direction!r}")
         f = self.fits
         v_hx, v_hy, v_ez, g = self._scratch
         v_hx = f.value(state.hx, v_hx)
         v_hy = f.value(state.hy, v_hy)
         v_ez = f.value(state.ez, v_ez)
 
-        new_hx = v_hx - sdt * f.ddy(state.ez, g)
-        new_hy = v_hy + sdt * f.ddx(state.ez, g)
-        new_ez = v_ez + sdt * f.ddx(state.hy, g)
-        new_ez -= sdt * f.ddy(state.hx, g)
+        new_hx = v_hx - dt * f.ddy(state.ez, g)
+        new_hy = v_hy + dt * f.ddx(state.ez, g)
+        new_ez = v_ez + dt * f.ddx(state.hy, g)
+        new_ez -= dt * f.ddy(state.hx, g)
 
         for new, old in ((new_hx, state.hx), (new_hy, state.hy),
                          (new_ez, state.ez)):
             flat_new, flat_old = new.reshape(-1), old.reshape(-1)
             flat_new[self._inside_flat] = flat_old[self._inside_flat]
             flat_new[self._ring_flat] = flat_old[self._ring_flat]
-        return FieldState(new_hx, new_hy, new_ez, state.time + sdt)
+        return FieldState(new_hx, new_hy, new_ez, state.time + dt)
 
     def enforce_boundary(self, state: FieldState) -> FieldState:
         """Set Ez = 0 and remove the normal H component at boundary nodes."""
@@ -163,12 +152,12 @@ class MaxwellStepper:
         data thereby reaches 2 rows inward per step."""
         self.enforce_boundary(state)
         self._extend(state)
-        mid = self.sweep(state, FORWARD, dt)
+        mid = self.sweep(state, dt)
         self.apply_outer_boundary(mid)
 
         self.enforce_boundary(mid)
         self._extend(mid)
-        back = self.sweep(mid, BACKWARD, dt)
+        back = self.sweep(mid, -dt)
         self.apply_outer_boundary(back)
 
         comp = state.copy()
@@ -180,7 +169,7 @@ class MaxwellStepper:
             arr += err
         self.enforce_boundary(comp)
         self._extend(comp)
-        out = self.sweep(comp, FORWARD, dt)
+        out = self.sweep(comp, dt)
         self.apply_outer_boundary(out)
         return self.enforce_boundary(out)
 
@@ -188,7 +177,7 @@ class MaxwellStepper:
         """Single forward sweep of the underlying first-order scheme."""
         self.enforce_boundary(state)
         self._extend(state)
-        out = self.sweep(state, FORWARD, dt)
+        out = self.sweep(state, dt)
         self.apply_outer_boundary(out)
         return self.enforce_boundary(out)
 
@@ -255,12 +244,12 @@ def build_setup(config, n: int) -> SimulationSetup:
         ls = None
         extender = None
     else:
-        classes = lattice.classify_nodes(grid,
-                                         levelset.initialize_phi(shape, grid))
-        ls = levelset.build_levelset(shape, grid, classes, fits=fits)
+        phi0 = levelset.initialize_phi(shape, grid)
+        classes = lattice.classify_nodes(grid, phi0)
+        ls = levelset.build_levelset(phi0, grid, classes, fits)
         extender = GhostExtender(grid, ls, classes, fits)
-    stepper = MaxwellStepper(grid, classes, fits, ls=ls, extender=extender,
-                             omega=config.omega)
+    stepper = MaxwellStepper(grid, classes, fits, omega=config.omega, ls=ls,
+                             extender=extender)
     return SimulationSetup(grid=grid, classes=classes, fits=fits, ls=ls,
                            stepper=stepper, dt=config.cfl * grid.dx)
 

@@ -29,10 +29,11 @@ def circle_geometry(n: int, redistanced: bool = True):
     pts = boundary_intersections(CIRCLE, grid.lattice_x(), grid.lattice_y())
     grid = apply_point_shift(grid, pts)
     fits = FitTable.build(grid)
-    classes = classify_nodes(grid, initialize_phi(CIRCLE, grid))
+    phi0 = initialize_phi(CIRCLE, grid)
+    classes = classify_nodes(grid, phi0)
     ls = None
     if redistanced:
-        ls = build_levelset(CIRCLE, grid, classes, fits=fits)
+        ls = build_levelset(phi0, grid, classes, fits)
     return grid, classes, fits, ls
 
 

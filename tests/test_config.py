@@ -35,6 +35,11 @@ class TestParseConfigText:
         with pytest.raises(ConfigError, match=f"^{key}: "):
             parse_config_text(line + "\n")
 
+    @pytest.mark.parametrize("sizes", ["100, 100, 200", "200, 100"])
+    def test_grid_sizes_must_strictly_increase(self, sizes):
+        with pytest.raises(ConfigError, match="^grid_sizes: .*strictly increasing"):
+            parse_config_text(f"grid_sizes = {sizes}\n")
+
     def test_final_time_beyond_edge_clearance(self):
         # circle of radius 2 centred in the 10 x 10 domain: 3 to each edge
         assert parse_config_text("final_time = 3\n").final_time == 3.0

@@ -5,7 +5,7 @@ from pecshift.grid import NodeClass
 from pecshift.levelset import (DegenerateNormalError, compute_normals_tangents,
                                gradient_with_edges, initialize_phi,
                                redistance, smoothed_sign)
-from pecshift.shapes import HalfMoon, Circle, circle_signed_distance
+from pecshift.shapes import HalfMoon, Circle
 
 from conftest import CIRCLE, circle_geometry
 
@@ -36,7 +36,7 @@ class TestInitializePhi:
         assert phi[ic, ic] == pytest.approx(2.0, abs=grid.dx)
         j8 = np.argmin(np.abs(grid.lattice_y() - 8.0))
         # (5, 8) is not an exact lattice point on the 100-grid; evaluate there
-        assert circle_signed_distance(CIRCLE, 5.0, 8.0) == pytest.approx(-1.0)
+        assert CIRCLE.level(5.0, 8.0) == pytest.approx(-1.0)
         assert phi[ic, j8] < 0
 
     def test_boundary_nodes_exactly_zero(self, circle_100):
@@ -55,7 +55,7 @@ class TestInitializePhi:
 class TestRedistance:
     def test_exact_seed_converges_fast_and_stays_put(self):
         grid, classes, fits, _ = circle_geometry(200, redistanced=False)
-        exact = circle_signed_distance(CIRCLE, grid.x, grid.y)
+        exact = CIRCLE.level(grid.x, grid.y)
         exact[grid.shifted] = 0.0
         hist = []
         # band keeps the cone tip (a genuine kink the averaged scheme must
@@ -68,7 +68,7 @@ class TestRedistance:
 
     def test_scaled_seed_recovers_distance(self):
         grid, classes, fits, _ = circle_geometry(100, redistanced=False)
-        exact = circle_signed_distance(CIRCLE, grid.x, grid.y)
+        exact = CIRCLE.level(grid.x, grid.y)
         exact[grid.shifted] = 0.0
         phi = redistance(0.5 * exact, grid, classes, fits=fits)
         i5 = np.argmin(np.abs(grid.lattice_x() - 5.0))
@@ -97,7 +97,7 @@ class TestRedistance:
 
     def test_circle_band_accuracy(self):
         grid, classes, fits, ls = circle_geometry(200)
-        exact = circle_signed_distance(CIRCLE, grid.x, grid.y)
+        exact = CIRCLE.level(grid.x, grid.y)
         exact[grid.shifted] = 0.0
         band = (np.abs(exact) <= 5 * grid.dx) & fits.valid
         assert np.abs(ls.phi - exact)[band].max() <= 2 * grid.dx ** 2 + 1e-6
@@ -159,9 +159,9 @@ class TestNormalsTangents:
         assert np.abs(dot).max() <= 1e-12
 
     def test_degenerate_normal_near_interface_raises(self):
-        grid, *_ = circle_geometry(100, redistanced=False)
+        grid, _, fits, _ = circle_geometry(100, redistanced=False)
         with pytest.raises(DegenerateNormalError):
-            compute_normals_tangents(np.zeros(grid.shape), grid)
+            compute_normals_tangents(np.zeros(grid.shape), grid, fits)
 
     def test_symmetric_center_gets_copied_normal(self):
         grid, classes, fits, ls = circle_geometry(100)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from pecshift.shapes import (Circle, Domain, HalfMoon, ShapeError,
-                             boundary_intersections, circle_signed_distance,
-                             corner_points, edge_clearance,
-                             halfmoon_interior_function, validate_shape)
+                             boundary_intersections, edge_clearance,
+                             validate_shape)
 
 CIRCLE = Circle(5.0, 5.0, 2.0)
 MOON = HalfMoon(Circle(5.0, 5.0, 2.0), Circle(6.2, 5.0, 2.0))
@@ -45,7 +44,7 @@ class TestCircleIntersections:
 
 class TestHalfMoon:
     def test_corner_points(self):
-        corners = corner_points(MOON)
+        corners = MOON.corners
         # chord at x = 5.6, half-height sqrt(4 - 0.36)
         h = math.sqrt(4 - 0.6 ** 2)
         got = sorted(map(tuple, np.round(corners, 12)))
@@ -66,17 +65,17 @@ class TestHalfMoon:
 
     def test_corners_included(self):
         pts = line_pts(MOON, xs=np.linspace(0, 10, 21))
-        corners = corner_points(MOON)
+        corners = MOON.corners
         for c in corners:
             assert np.min(np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])) < 1e-12
 
     def test_interior_function_examples(self):
         # cutter center: min(2 - 1.2, -(2 - 0)) = -2 (outside the crescent)
-        assert halfmoon_interior_function(MOON, 6.2, 5.0) == pytest.approx(-2.0)
+        assert MOON.level(6.2, 5.0) == pytest.approx(-2.0)
         # a point inside the crescent body
-        assert halfmoon_interior_function(MOON, 3.5, 5.0) > 0
+        assert MOON.level(3.5, 5.0) > 0
         # far outside
-        assert halfmoon_interior_function(MOON, 0.5, 0.5) < 0
+        assert MOON.level(0.5, 0.5) < 0
 
 
 class TestValidation:
@@ -107,5 +106,5 @@ class TestValidation:
 
 
 def test_circle_signed_distance_sign_convention():
-    assert circle_signed_distance(CIRCLE, 5.0, 5.0) == pytest.approx(2.0)
-    assert circle_signed_distance(CIRCLE, 5.0, 8.0) == pytest.approx(-1.0)
+    assert CIRCLE.level(5.0, 5.0) == pytest.approx(2.0)
+    assert CIRCLE.level(5.0, 8.0) == pytest.approx(-1.0)

@@ -47,22 +47,10 @@ class TestSweep:
         grid, st = free_space_stepper()
         s = FieldState(np.full(grid.shape, 1.7), np.full(grid.shape, -0.4),
                        np.full(grid.shape, 2.2), 0.0)
-        out = st.sweep(s, "forward", 0.05)
+        out = st.sweep(s, 0.05)
         assert np.abs(out.hx - 1.7).max() <= 1e-12
         assert np.abs(out.hy + 0.4).max() <= 1e-12
         assert np.abs(out.ez - 2.2).max() <= 1e-12
-
-    def test_backward_equals_forward_negated_dt(self):
-        grid, st = free_space_stepper()
-        rng = np.random.default_rng(1)
-        s = FieldState(rng.normal(size=grid.shape), rng.normal(size=grid.shape),
-                       rng.normal(size=grid.shape), 0.3)
-        b = st.sweep(s, "backward", 0.07)
-        f = st.sweep(s, "forward", -0.07)
-        assert np.array_equal(b.hx, f.hx)
-        assert np.array_equal(b.hy, f.hy)
-        assert np.array_equal(b.ez, f.ez)
-        assert b.time == f.time == pytest.approx(0.23)
 
     def test_forward_backward_pair_not_identity(self):
         # One sweep is A u + dt M u, with A the dt-independent 5-point
@@ -77,7 +65,7 @@ class TestSweep:
         inner = np.s_[2:-2, 2:-2]
 
         def pair(dt):
-            return st.sweep(st.sweep(s, "forward", dt), "backward", dt)
+            return st.sweep(st.sweep(s, dt), -dt)
 
         back0, back8, back4 = pair(0.0), pair(0.08), pair(0.04)
         assert np.abs(back8.ez[inner] - s.ez[inner]).max() > 1e-8
@@ -95,15 +83,10 @@ class TestSweep:
         rng = np.random.default_rng(2)
         s = FieldState(rng.normal(size=grid.shape), rng.normal(size=grid.shape),
                        rng.normal(size=grid.shape), 0.0)
-        out = st.sweep(s, "forward", 0.05)
+        out = st.sweep(s, 0.05)
         frozen = (classes == NodeClass.GHOST) | (classes == NodeClass.DEEP_INTERIOR)
         assert np.array_equal(out.ez[frozen], s.ez[frozen])
         assert np.array_equal(out.hx[frozen], s.hx[frozen])
-
-    def test_unknown_direction(self):
-        grid, st = free_space_stepper(8)
-        with pytest.raises(ValueError, match="direction"):
-            st.sweep(plane_wave_state(grid), "sideways", 0.1)
 
 
 class TestEnforceBoundary:
@@ -257,7 +240,9 @@ class TestRunSimulation:
     def test_stability_sentinel(self):
         cfg = SimulationConfig(shape="none", grid_size=24, cfl=50.0,
                                final_time=5000.0)
-        with pytest.raises(StabilityError, match="step"):
+        # The blow-up is the point: keep its overflow warnings quiet.
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(StabilityError, match="step"):
             run_simulation(cfg)
 
     def test_snapshot_callback_invoked(self):
