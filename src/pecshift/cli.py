@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -30,8 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "point-shifted grids with BFECC time stepping")
     parser.add_argument("--output-dir", default=None,
                         help="override the config's output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap for parallel study grids")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress logging")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -46,8 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _output_dir(cfg, args) -> Path:
-    chosen = args.output_dir or os.environ.get("PECSHIFT_OUTPUT_DIR") or cfg.output_dir
-    out = Path(chosen)
+    out = Path(args.output_dir or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -71,10 +67,10 @@ def _cmd_run(cfg, out: Path) -> int:
     return 0
 
 
-def _cmd_convergence(cfg, out: Path, threads: int) -> int:
+def _cmd_convergence(cfg, out: Path) -> int:
     executor = None
-    if cfg.parallel_grids and threads > 1:
-        executor = ProcessPoolExecutor(max_workers=threads)
+    if cfg.parallel_grids and cfg.threads > 1:
+        executor = ProcessPoolExecutor(max_workers=cfg.threads)
     try:
         report = convergence_study(cfg, executor=executor, output_dir=out)
     finally:
@@ -142,12 +138,11 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     out = _output_dir(cfg, args)
-    threads = args.threads if args.threads is not None else cfg.threads
     try:
         if args.command == "run":
             return _cmd_run(cfg, out)
         if args.command == "convergence":
-            return _cmd_convergence(cfg, out, threads)
+            return _cmd_convergence(cfg, out)
         if args.command == "redistance":
             return _cmd_redistance(cfg, out)
         if args.command == "freespace":

@@ -42,16 +42,6 @@ def recompose(h_perp: np.ndarray, h_par: np.ndarray, ls: LevelSetData):
     return hx, hy
 
 
-def normal_derivatives(field: np.ndarray, ls: LevelSetData,
-                       fits: FitTable) -> np.ndarray:
-    """grad(field) . n with the least-squares gradient, over the interior.
-
-    Values at exterior nodes (phi < 0) are the authoritative data that the
-    extension transports; inside values are start values that the sweeps
-    overwrite."""
-    return fits.ddx(field) * ls.normal_x + fits.ddy(field) * ls.normal_y
-
-
 def _flat(a: np.ndarray) -> np.ndarray:
     """C-contiguous flat view; scatter through a copy would be silently lost."""
     if not a.flags.c_contiguous:
@@ -109,7 +99,7 @@ class GhostExtender:
 
     Precomputes the transport regions, the fitted normal velocity, and the
     ghost-node frame so that the per-step work is a handful of gathered
-    band sweeps. ``extend_h``/``extend_e`` mutate the field arrays at ghost
+    band sweeps. :meth:`extend_fields` mutates the field arrays at ghost
     nodes only.
 
     Field values are transported over ``region_pos`` (phi > 0) and normal
@@ -141,52 +131,39 @@ class GhostExtender:
         self.boundary_flat = np.flatnonzero(classes == NodeClass.BOUNDARY)
         g = np.flatnonzero(classes == NodeClass.GHOST)
         self.ghost_flat = g
-        self.ghost_phi = _flat(ls.phi)[g].copy()
-        self.ghost_nx = _flat(ls.normal_x)[g].copy()
-        self.ghost_ny = _flat(ls.normal_y)[g].copy()
-        self.ghost_tx = _flat(ls.tangent_x)[g].copy()
-        self.ghost_ty = _flat(ls.tangent_y)[g].copy()
+        self.ghost = LevelSetData(*(_flat(a)[g] for a in (
+            ls.phi, ls.normal_x, ls.normal_y, ls.tangent_x, ls.tangent_y)))
 
-        self._scratch = [np.zeros(grid.shape) for _ in range(2)]
-
-    def _normal_derivative_band(self, field: np.ndarray,
-                                out: np.ndarray) -> np.ndarray:
+    def _normal_derivative_band(self, field: np.ndarray) -> np.ndarray:
         """grad(field).n over the derivative band, zero elsewhere."""
-        out.fill(0.0)
+        out = np.zeros(field.shape)
         _flat(out)[self.deriv_idx] = np.einsum(
             "km,km->m", self.deriv_op, _flat(field)[self.deriv_nbr])
         return out
 
-    def extend_h(self, hx: np.ndarray, hy: np.ndarray) -> None:
-        """Write ghost values of (hx, hy) in place; nothing else changes."""
+    def extend_fields(self, hx: np.ndarray, hy: np.ndarray,
+                      ez: np.ndarray) -> None:
+        """Write ghost values of (hx, hy, ez) in place; nothing else changes.
+
+        H.n and Ez are extended odd (zero trace, transported normal
+        derivative), H.t even (transported trace and normal derivative).
+        """
         if not self.ghost_flat.size:
             return
         h_perp, h_par = decompose(hx, hy, self.ls)
         _flat(h_perp)[self.boundary_flat] = 0.0
 
-        d_perp = self._normal_derivative_band(h_perp, self._scratch[0])
-        d_par = self._normal_derivative_band(h_par, self._scratch[1])
+        d_perp = self._normal_derivative_band(h_perp)
+        d_par = self._normal_derivative_band(h_par)
+        d_ez = self._normal_derivative_band(ez)
 
         self.region_pos.sweep(h_par)
         self.region_nonneg.sweep(d_perp)
         self.region_nonneg.sweep(d_par)
-
-        g = self.ghost_flat
-        perp_g = _flat(d_perp)[g] * self.ghost_phi
-        par_g = _flat(h_par)[g] - _flat(d_par)[g] * self.ghost_phi
-        _flat(hx)[g] = perp_g * self.ghost_nx + par_g * self.ghost_tx
-        _flat(hy)[g] = perp_g * self.ghost_ny + par_g * self.ghost_ty
-
-    def extend_e(self, ez: np.ndarray) -> None:
-        """Write ghost values of ez in place (odd extension, zero trace)."""
-        if not self.ghost_flat.size:
-            return
-        d_ez = self._normal_derivative_band(ez, self._scratch[0])
         self.region_nonneg.sweep(d_ez)
-        g = self.ghost_flat
-        _flat(ez)[g] = _flat(d_ez)[g] * self.ghost_phi
 
-    def extend_fields(self, hx: np.ndarray, hy: np.ndarray,
-                      ez: np.ndarray) -> None:
-        self.extend_h(hx, hy)
-        self.extend_e(ez)
+        g, ghost = self.ghost_flat, self.ghost
+        perp_g = _flat(d_perp)[g] * ghost.phi
+        par_g = _flat(h_par)[g] - _flat(d_par)[g] * ghost.phi
+        _flat(hx)[g], _flat(hy)[g] = recompose(perp_g, par_g, ghost)
+        _flat(ez)[g] = _flat(d_ez)[g] * ghost.phi

@@ -61,14 +61,6 @@ class GridTopology:
     def lattice_y(self) -> np.ndarray:
         return self.y0 + self.dy * np.arange(self.ny)
 
-    def neighbor_indices(self, i: int, j: int) -> tuple:
-        """E/W/N/S lattice neighbors of (i, j); None where absent."""
-        e = (i + 1, j) if i + 1 < self.nx else None
-        w = (i - 1, j) if i - 1 >= 0 else None
-        n = (i, j + 1) if j + 1 < self.ny else None
-        s = (i, j - 1) if j - 1 >= 0 else None
-        return e, w, n, s
-
 
 def build_uniform_grid(domain: Domain, nx: int, ny: int) -> GridTopology:
     """Uniform lattice over the domain; no node shifted yet."""

@@ -27,10 +27,17 @@ logger = logging.getLogger(__name__)
 
 
 class StabilityError(RuntimeError):
+    """Non-finite field values after a step. ``args`` is ``(step, time)``,
+    so the error survives pickling (e.g. out of a worker process)."""
+
     def __init__(self, step: int, time: float):
-        super().__init__(f"non-finite field values after step {step} (t={time:.6g})")
+        super().__init__(step, time)
         self.step = step
         self.time = time
+
+    def __str__(self) -> str:
+        return (f"non-finite field values after step {self.step} "
+                f"(t={self.time:.6g})")
 
 
 @dataclass
@@ -58,28 +65,24 @@ class MaxwellStepper:
 
     def __init__(self, grid: GridTopology, classes: np.ndarray,
                  fits: FitTable, omega: float,
-                 ls: Optional[LevelSetData] = None,
                  extender: Optional[GhostExtender] = None):
         self.grid = grid
-        self.classes = classes
         self.fits = fits
-        self.ls = ls
         self.extender = extender
         self.omega = omega
 
         inside = (classes == NodeClass.GHOST) | (classes == NodeClass.DEEP_INTERIOR)
         self._inside_flat = np.flatnonzero(inside)
-        self._bnd_flat = np.flatnonzero(classes == NodeClass.BOUNDARY)
-        if ls is not None:
-            self._bnd_nx = ls.normal_x.ravel()[self._bnd_flat].copy()
-            self._bnd_ny = ls.normal_y.ravel()[self._bnd_flat].copy()
-        elif self._bnd_flat.size:
-            raise ValueError("boundary nodes present but no level-set data")
-        ring = np.zeros(grid.shape, dtype=bool)
-        ring[0, :] = ring[-1, :] = True
-        ring[:, 0] = ring[:, -1] = True
-        self._ring_flat = np.flatnonzero(ring)
+        # The ring is the complement of the fit table's interior.
+        self._ring_flat = np.flatnonzero(~fits.valid)
+        self._keep_flat = np.flatnonzero(inside | ~fits.valid)
         self._ring_x = grid.x.ravel()[self._ring_flat].copy()
+        self._bnd_flat = np.flatnonzero(classes == NodeClass.BOUNDARY)
+        if extender is not None:
+            self._bnd_nx = extender.ls.normal_x.ravel()[self._bnd_flat].copy()
+            self._bnd_ny = extender.ls.normal_y.ravel()[self._bnd_flat].copy()
+        elif self._bnd_flat.size:
+            raise ValueError("boundary nodes present but no ghost extender")
         self._scratch = [np.zeros(grid.shape) for _ in range(4)]
 
     # -- elementary operations -------------------------------------------
@@ -111,9 +114,7 @@ class MaxwellStepper:
 
         for new, old in ((new_hx, state.hx), (new_hy, state.hy),
                          (new_ez, state.ez)):
-            flat_new, flat_old = new.reshape(-1), old.reshape(-1)
-            flat_new[self._inside_flat] = flat_old[self._inside_flat]
-            flat_new[self._ring_flat] = flat_old[self._ring_flat]
+            new.reshape(-1)[self._keep_flat] = old.reshape(-1)[self._keep_flat]
         return FieldState(new_hx, new_hy, new_ez, state.time + dt)
 
     def enforce_boundary(self, state: FieldState) -> FieldState:
@@ -136,9 +137,14 @@ class MaxwellStepper:
         state.ez.reshape(-1)[self._ring_flat] = iez
         return state
 
-    def _extend(self, state: FieldState) -> None:
+    def _substep(self, state: FieldState, dt: float) -> FieldState:
+        """One full step of the underlying scheme: PEC trace, ghosts, sweep,
+        then the outer ring at the new time. ``state`` is modified in place
+        by the first two."""
+        self.enforce_boundary(state)
         if self.extender is not None:
             self.extender.extend_fields(state.hx, state.hy, state.ez)
+        return self.apply_outer_boundary(self.sweep(state, dt))
 
     # -- time stepping ----------------------------------------------------
 
@@ -150,16 +156,7 @@ class MaxwellStepper:
         at that sub-sweep's time (t+dt, t, t+dt), so each sub-step is a
         full step of the underlying scheme, boundary data included. Ring
         data thereby reaches 2 rows inward per step."""
-        self.enforce_boundary(state)
-        self._extend(state)
-        mid = self.sweep(state, dt)
-        self.apply_outer_boundary(mid)
-
-        self.enforce_boundary(mid)
-        self._extend(mid)
-        back = self.sweep(mid, -dt)
-        self.apply_outer_boundary(back)
-
+        back = self._substep(self._substep(state, dt), -dt)
         comp = state.copy()
         for arr, u, ub in ((comp.hx, state.hx, back.hx),
                            (comp.hy, state.hy, back.hy),
@@ -167,19 +164,11 @@ class MaxwellStepper:
             err = 0.5 * (u - ub)
             err.reshape(-1)[self._inside_flat] = 0.0
             arr += err
-        self.enforce_boundary(comp)
-        self._extend(comp)
-        out = self.sweep(comp, dt)
-        self.apply_outer_boundary(out)
-        return self.enforce_boundary(out)
+        return self.enforce_boundary(self._substep(comp, dt))
 
     def plain_step(self, state: FieldState, dt: float) -> FieldState:
         """Single forward sweep of the underlying first-order scheme."""
-        self.enforce_boundary(state)
-        self._extend(state)
-        out = self.sweep(state, dt)
-        self.apply_outer_boundary(out)
-        return self.enforce_boundary(out)
+        return self.enforce_boundary(self._substep(state, dt))
 
     def initial_state(self) -> FieldState:
         """Incident wave at exterior/boundary nodes, zero inside the PEC,
@@ -248,7 +237,7 @@ def build_setup(config, n: int) -> SimulationSetup:
         classes = lattice.classify_nodes(grid, phi0)
         ls = levelset.build_levelset(phi0, grid, classes, fits)
         extender = GhostExtender(grid, ls, classes, fits)
-    stepper = MaxwellStepper(grid, classes, fits, omega=config.omega, ls=ls,
+    stepper = MaxwellStepper(grid, classes, fits, omega=config.omega,
                              extender=extender)
     return SimulationSetup(grid=grid, classes=classes, fits=fits, ls=ls,
                            stepper=stepper, dt=config.cfl * grid.dx)

@@ -120,9 +120,7 @@ class FitTable:
             except DegenerateStencilError as err:
                 raise DegenerateStencilError(
                     f"degenerate stencil in shifted band: {err}") from err
-            for r in range(3):
-                for k in range(5):
-                    w[r, k, bi, bj] = wb[:, r, k]
+            w[:, :, bi, bj] = wb.transpose(1, 2, 0)
         return cls(w, interior, grid.dx, grid.dy)
 
     def _apply(self, row: int, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -1,3 +1,5 @@
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +12,7 @@ from pecshift.analysis import (AnalysisError, ErrorReport, convergence_study,
 from pecshift.config import SimulationConfig
 from pecshift.grid import NodeClass, build_uniform_grid
 from pecshift.shapes import Domain
-from pecshift.solver import FieldState
+from pecshift.solver import FieldState, StabilityError
 
 
 def test_observed_orders_skip_missing_and_zero_errors():
@@ -105,3 +107,64 @@ def test_convergence_study_rejects_arguments_before_running(
     monkeypatch.setattr(analysis, "run_simulation", no_run)
     with pytest.raises(AnalysisError, match=message):
         convergence_study(SimulationConfig(**overrides))
+
+
+TINY_STUDY = SimulationConfig(grid_sizes=(30, 40), reference_size=80,
+                              final_time=0.2)
+
+
+@pytest.fixture(scope="module")
+def tiny_study(tmp_path_factory):
+    out = tmp_path_factory.mktemp("study")
+    return convergence_study(TINY_STUDY, output_dir=out), out
+
+
+def test_convergence_study_tabulates_every_grid(tiny_study):
+    report, out = tiny_study
+    assert report.grid_sizes == [30, 40] and not report.failures
+    assert all(k > 0 for k in report.sample_counts)
+    assert np.isfinite(report.err_ez + report.err_hx).all()
+    assert report.order_ez[0] is None and np.isfinite(report.order_ez[1])
+    assert (out / "convergence.txt").read_text() == report.to_text() + "\n"
+    rows = (out / "convergence.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["30", "40"]
+
+
+@pytest.fixture
+def unstable_at_30(monkeypatch):
+    run = analysis.run_simulation
+
+    def run_or_blow_up(config, n=None, **kwargs):
+        if n == 30:
+            raise StabilityError(4, 0.25)
+        return run(config, n=n, **kwargs)
+
+    monkeypatch.setattr(analysis, "run_simulation", run_or_blow_up)
+
+
+def forked_pool():
+    # Forked workers inherit the patched module; the study's results and
+    # errors still travel back through pickle.
+    return ProcessPoolExecutor(max_workers=2,
+                               mp_context=multiprocessing.get_context("fork"))
+
+
+def test_convergence_study_records_a_failed_grid(unstable_at_30):
+    report = convergence_study(TINY_STUDY)
+    assert report.failures == {
+        30: "non-finite field values after step 4 (t=0.25)"}
+    assert report.err_ez[0] is None and np.isfinite(report.err_ez[1])
+    assert report.to_text().splitlines()[2].split()[:2] == ["30", "FAILED"]
+
+
+def test_convergence_study_in_a_process_pool_matches_serial(tiny_study):
+    with forked_pool() as pool:
+        report = convergence_study(TINY_STUDY, executor=pool)
+    assert report == tiny_study[0]
+
+
+def test_failed_grid_in_a_process_pool_matches_serial(unstable_at_30):
+    with forked_pool() as pool:
+        report = convergence_study(TINY_STUDY, executor=pool)
+    assert report == convergence_study(TINY_STUDY)
+    assert list(report.failures) == [30]

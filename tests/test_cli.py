@@ -56,3 +56,22 @@ def test_freespace_runs_both_schemes_without_the_shape(tmp_path, capsys):
     for name in ("freespace_plain.csv", "freespace_bfecc.csv"):
         rows = (tmp_path / "out" / name).read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["16", "24"]
+
+
+def test_convergence_in_a_worker_pool_writes_the_table(tmp_path, capsys):
+    config = write_config(tmp_path, "grid_sizes = 30, 40\nreference_size = 80\n"
+                                    "final_time = 0.2\nparallel_grids = yes\n"
+                                    "threads = 2\n")
+    assert run_cli(tmp_path, "convergence", config) == 0
+    assert "reference 80^2" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == ["convergence.csv",
+                                                     "convergence.txt"]
+
+
+def test_redistance_reports_and_writes_the_grid(tmp_path, capsys):
+    config = write_config(tmp_path, "grid_size = 40\n")
+    assert run_cli(tmp_path, "redistance", config) == 0
+    assert "node classes" in capsys.readouterr().out
+    rows = (tmp_path / "out" / "grid.csv").read_text().splitlines()
+    assert len(rows) == 1 + 40 * 40

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from pecshift.extension import (GhostExtender, decompose, normal_derivatives,
-                                recompose)
+from pecshift.extension import GhostExtender, decompose, recompose
 from pecshift.grid import NodeClass
 from pecshift.levelset import LevelSetData
 
@@ -42,25 +41,31 @@ class TestDecompose:
         assert np.abs(hy2 - hy).max() <= 1e-12
 
 
+def band_values(extender, field):
+    """The extender's normal derivative of ``field`` over its band."""
+    return extender._normal_derivative_band(field).ravel()[extender.deriv_idx]
+
+
 class TestNormalDerivatives:
-    def test_eikonal_property_of_phi(self, planar_101):
+    def test_eikonal_property_of_phi(self, planar_101, planar_extender_101):
         grid, classes, fits, ls, ghosts, x_wall = planar_101
-        dn = normal_derivatives(ls.phi, ls, fits)
-        ext = (classes == NodeClass.EXTERIOR) & fits.valid
+        dn = band_values(planar_extender_101, ls.phi)
+        ext = (classes == NodeClass.EXTERIOR).ravel()[planar_extender_101.deriv_idx]
+        assert ext.any()
         assert np.abs(dn[ext] - 1.0).max() <= 1e-10  # phi exactly linear here
 
-    def test_constant_field_zero(self, planar_101):
-        grid, classes, fits, ls, *_ = planar_101
-        dn = normal_derivatives(np.full(grid.shape, 3.3), ls, fits)
-        assert np.abs(dn[fits.valid]).max() <= 1e-11
+    def test_constant_field_zero(self, planar_101, planar_extender_101):
+        grid, *_ = planar_101
+        dn = band_values(planar_extender_101, np.full(grid.shape, 3.3))
+        assert np.abs(dn).max() <= 1e-11
 
     def test_linear_field_oblique_normal(self, planar_101):
-        grid, classes, fits, _, *_ = planar_101
+        grid, classes, fits, planar, *_ = planar_101
         nx_ = np.full(grid.shape, 0.6)
         ny_ = np.full(grid.shape, 0.8)
-        ls = LevelSetData(None, nx_, ny_, ny_.copy(), -nx_)
-        dn = normal_derivatives(grid.x, ls, fits)
-        assert np.abs(dn[fits.valid] - 0.6).max() <= 1e-10
+        ls = LevelSetData(planar.phi, nx_, ny_, ny_.copy(), -nx_)
+        dn = band_values(GhostExtender(grid, ls, classes, fits), grid.x)
+        assert np.abs(dn - 0.6).max() <= 1e-10
 
 
 class TestConstantExtend:
@@ -104,7 +109,7 @@ class TestExtendH:
         s = grid.x - x_wall
         hx = 2.0 * s            # H.n since n = (1, 0); zero trace at the wall
         hy = -(5.0 + 3.0 * s)   # H.t = -hy = 5 + 3 s
-        planar_extender_101.extend_h(hx, hy)
+        planar_extender_101.extend_fields(hx, hy, np.zeros(grid.shape))
         d = s[ghosts]
         # tolerance floor: garbage beyond the update band leaks ~3^-12
         np.testing.assert_allclose(hx[ghosts], 2.0 * d, atol=1e-4)
@@ -120,7 +125,7 @@ class TestExtendH:
         hx[inside] = 9.0
         hy[inside] = -9.0
         hx[grid.shifted] = 0.0
-        planar_extender_101.extend_h(hx, hy)
+        planar_extender_101.extend_fields(hx, hy, np.zeros(grid.shape))
         d = grid.x[ghosts] - x_wall
         # odd mirror: Hx(wall + d) = -Hx(wall - d) = -a d; even: Hy = b
         np.testing.assert_allclose(hx[ghosts], -a * d, atol=1e-4)
@@ -132,7 +137,7 @@ class TestExtendH:
         hy = np.zeros(grid.shape)
         hx[ls.phi > 0] = 5.0
         hy[ls.phi > 0] = -5.0
-        planar_extender_101.extend_h(hx, hy)
+        planar_extender_101.extend_fields(hx, hy, np.zeros(grid.shape))
         assert np.abs(hx[ghosts]).max() <= 1e-4
         assert np.abs(hy[ghosts]).max() <= 1e-4
 
@@ -156,7 +161,8 @@ class TestExtendE:
         ez = np.sin(x_wall - grid.x)
         ez[ls.phi > 0] = 9.0
         ez[grid.shifted] = 0.0
-        planar_extender_101.extend_e(ez)
+        planar_extender_101.extend_fields(np.zeros(grid.shape),
+                                          np.zeros(grid.shape), ez)
         d = grid.x[ghosts] - x_wall
         mirror = -np.sin(d)
         np.testing.assert_allclose(ez[ghosts], mirror, atol=5e-3)
@@ -164,11 +170,13 @@ class TestExtendE:
     def test_zero_and_tangential_fields(self, planar_101, planar_extender_101):
         grid, classes, fits, ls, ghosts, *_ = planar_101
         ez = np.zeros(grid.shape)
-        planar_extender_101.extend_e(ez)
+        planar_extender_101.extend_fields(np.zeros(grid.shape),
+                                          np.zeros(grid.shape), ez)
         assert np.abs(ez[ghosts]).max() == 0.0
         # tangential-only variation has zero normal derivative
         ez = np.sin(0.9 * grid.y)
-        planar_extender_101.extend_e(ez)
+        planar_extender_101.extend_fields(np.zeros(grid.shape),
+                                          np.zeros(grid.shape), ez)
         assert np.abs(ez[ghosts]).max() <= 2e-3
 
 
@@ -186,7 +194,7 @@ class TestOrderOfAccuracy:
             hx[inside] = 9.0
             hy[inside] = -9.0
             hx[grid.shifted] = 0.0
-            ext.extend_h(hx, hy)
+            ext.extend_fields(hx, hy, np.zeros(grid.shape))
             d = grid.x[ghosts] - x_wall
             errs[n] = max(np.abs(hx[ghosts] + ay[ghosts] * d).max(),
                           np.abs(hy[ghosts] - by[ghosts]).max())

@@ -23,15 +23,6 @@ class TestBuildUniformGrid:
         with pytest.raises(GridError, match="at least 8"):
             build_uniform_grid(Domain(), 4, 101)
 
-    def test_neighbor_indices_edges(self):
-        g = build_uniform_grid(Domain(), 8, 8)
-        e, w, n, s = g.neighbor_indices(0, 0)
-        assert e == (1, 0) and n == (0, 1)
-        assert w is None and s is None
-        e, w, n, s = g.neighbor_indices(7, 7)
-        assert e is None and n is None
-        assert w == (6, 7) and s == (7, 6)
-
 
 class TestPointShift:
     def test_single_intersection_moves_nearest_node(self):
@@ -151,5 +142,10 @@ class TestClassification:
     def test_topology_unchanged_by_shift(self):
         grid, *_ = circle_geometry(100, redistanced=False)
         base = build_uniform_grid(Domain(), 100, 100)
-        for node in ((1, 1), (50, 50), (40, 17)):
-            assert grid.neighbor_indices(*node) == base.neighbor_indices(*node)
+        assert (grid.nx, grid.ny, grid.x.shape) == (base.nx, base.ny, base.x.shape)
+        assert (grid.dx, grid.dy, grid.x0, grid.y0) == (base.dx, base.dy,
+                                                        base.x0, base.y0)
+        still = ~grid.shifted
+        assert grid.shifted.any() and still.any()
+        assert np.array_equal(grid.x[still], base.x[still])
+        assert np.array_equal(grid.y[still], base.y[still])

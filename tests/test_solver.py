@@ -1,7 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from pecshift.config import SimulationConfig
+from pecshift.extension import GhostExtender
 from pecshift.grid import NodeClass, build_uniform_grid
 from pecshift.shapes import Domain
 from pecshift.solver import (FieldState, MaxwellStepper, StabilityError,
@@ -18,6 +21,12 @@ def free_space_stepper(n=40):
     fits = FitTable.build(grid)
     classes = np.zeros(grid.shape, dtype=np.int8)
     return grid, MaxwellStepper(grid, classes, fits, omega=OMEGA)
+
+
+def circle_stepper(n=100):
+    grid, classes, fits, ls = circle_geometry(n)
+    ext = GhostExtender(grid, ls, classes, fits)
+    return MaxwellStepper(grid, classes, fits, omega=OMEGA, extender=ext)
 
 
 def plane_wave_state(grid, t=0.0):
@@ -79,7 +88,7 @@ class TestSweep:
 
     def test_ghost_and_deep_nodes_not_updated(self):
         grid, classes, fits, ls = circle_geometry(100)
-        st = MaxwellStepper(grid, classes, fits, ls=ls, omega=OMEGA)
+        st = circle_stepper(100)
         rng = np.random.default_rng(2)
         s = FieldState(rng.normal(size=grid.shape), rng.normal(size=grid.shape),
                        rng.normal(size=grid.shape), 0.0)
@@ -93,8 +102,7 @@ class TestEnforceBoundary:
     @pytest.fixture(scope="class")
     def circle_stepper(self):
         grid, classes, fits, ls = circle_geometry(100)
-        return grid, classes, ls, MaxwellStepper(grid, classes, fits, ls=ls,
-                                                 omega=OMEGA)
+        return grid, classes, ls, circle_stepper(100)
 
     def test_normal_component_removed(self, circle_stepper):
         grid, classes, ls, st = circle_stepper
@@ -116,6 +124,11 @@ class TestEnforceBoundary:
         st.enforce_boundary(s)
         b = classes == NodeClass.BOUNDARY
         assert np.abs(s.hx[b] - hx0[b]).max() <= 1e-12
+
+    def test_boundary_nodes_need_an_extender(self):
+        grid, classes, fits, ls = circle_geometry(100)
+        with pytest.raises(ValueError, match="no ghost extender"):
+            MaxwellStepper(grid, classes, fits, omega=OMEGA)
 
     def test_projection_examples(self):
         # H=(2,0), n=(1,0) -> 0; H=(0,3) -> unchanged; H=(1,1), n=diag -> 0
@@ -188,10 +201,7 @@ class TestBfeccStep:
 
     def test_boundary_conditions_after_every_step(self):
         grid, classes, fits, ls = circle_geometry(100)
-        from pecshift.extension import GhostExtender
-        ext = GhostExtender(grid, ls, classes, fits)
-        st = MaxwellStepper(grid, classes, fits, ls=ls, extender=ext,
-                            omega=OMEGA)
+        st = circle_stepper(100)
         state = st.initial_state()
         b = classes == NodeClass.BOUNDARY
         for _ in range(3):
@@ -244,6 +254,14 @@ class TestRunSimulation:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(StabilityError, match="step"):
             run_simulation(cfg)
+
+    def test_stability_error_survives_pickling(self):
+        # A study grid that blows up in a worker process sends this error
+        # back through pickle.
+        err = pickle.loads(pickle.dumps(StabilityError(3, 0.5)))
+        assert isinstance(err, StabilityError)
+        assert (err.step, err.time) == (3, 0.5)
+        assert str(err) == "non-finite field values after step 3 (t=0.5)"
 
     def test_snapshot_callback_invoked(self):
         seen = []
