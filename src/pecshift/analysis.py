@@ -165,23 +165,20 @@ def convergence_study(config, executor: Optional[ProcessPoolExecutor] = None,
 
     coarsest_dx = config.domain().width / (min(sizes) - 1)
 
+    # Pool workers start on the study grids while the reference runs here.
+    futures = {}
+    if executor is not None:
+        futures = {n: executor.submit(_run_one, config, n) for n in sizes}
     logger.info("reference run at %d^2", config.reference_size)
     ref_state, ref_setup = run_simulation(config, n=config.reference_size)
 
     results: dict = {}
-    if executor is not None:
-        futures = {n: executor.submit(_run_one, config, n) for n in sizes}
-        for n in sizes:
-            try:
-                results[n] = futures[n].result()
-            except Exception as err:  # noqa: BLE001 - record and continue
-                results[n] = err
-    else:
-        for n in sizes:
-            try:
-                results[n] = _run_one(config, n)
-            except Exception as err:  # noqa: BLE001
-                results[n] = err
+    for n in sizes:
+        try:
+            results[n] = (futures[n].result() if futures
+                          else _run_one(config, n))
+        except Exception as err:  # noqa: BLE001 - record and continue
+            results[n] = err
 
     report = ErrorReport(grid_sizes=sizes, sample_counts=[], err_ez=[],
                          err_hx=[],

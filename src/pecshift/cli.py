@@ -17,7 +17,7 @@ from .config import ConfigError, load_config
 from .export import export_field, export_grid, export_vtk
 from .grid import NodeClass
 from .levelset import gradient_with_edges
-from .solver import build_setup, run_simulation
+from .solver import build_setup
 
 logger = logging.getLogger("pecshift")
 
@@ -49,17 +49,16 @@ def _output_dir(cfg, args) -> Path:
 
 
 def _cmd_run(cfg, out: Path) -> int:
-    snapshots = []
+    setup = build_setup(cfg, cfg.grid_size)
+    phi = setup.ls.phi if setup.ls is not None else None
 
     def on_step(state, step):
         if cfg.snapshot_every and step % cfg.snapshot_every == 0:
-            snapshots.append((state.copy(), step))
+            export_field(state, setup.grid, phi, setup.classes,
+                         out / f"snapshot_{step:05d}.csv")
 
-    state, setup = run_simulation(config=cfg, on_step=on_step)
-    phi = setup.ls.phi if setup.ls is not None else None
-    for snap, step in snapshots:
-        export_field(snap, setup.grid, phi, setup.classes,
-                     out / f"snapshot_{step:05d}.csv")
+    state = setup.stepper.run(cfg.final_time, setup.dt, scheme=cfg.scheme,
+                              on_step=on_step)
     export_field(state, setup.grid, phi, setup.classes, out / "final.csv")
     export_vtk(state, setup.grid, phi, out / "final.vtk")
     export_grid(setup.grid, setup.classes, out / "grid.csv")

@@ -2,31 +2,28 @@
 
 The field just inside the PEC is reconstructed from outside data: H is
 decomposed into normal/tangential components, the boundary traces and
-normal derivatives are transported inward along the normal direction by
-the level-set advection equation, and one-layer ghost values are
-assembled from two-term Taylor expansions. H.n and E are odd across the
-wall (zero trace), H.t is even.
+normal derivatives are extended inward along the normal, and one-layer
+ghost values are assembled from two-term Taylor expansions. H.n and E
+are odd across the wall (zero trace), H.t is even.
 
-Values on the authoritative side (phi <= 0 for transported field values,
-phi < 0 for transported derivatives) are never written: the transport
-sweeps scatter only into their update region, so frozen nodes stay
-bitwise identical.
+The extension solves ``grad(q) . grad(phi) = 0`` with the causal upwind
+discretization (Aslam, J. Comput. Phys. 2004): a node takes
+``q = sum_a w_a q(nb_a) / sum_a w_a`` over the two lattice axes, where
+``nb_a`` is the neighbour of smaller phi on axis ``a`` and
+``w_a = (phi(node) - phi(nb_a)) / |x(node) - x(nb_a)|^2`` in shifted
+coordinates. phi strictly decreases along every dependency, so the
+system is triangular; each ghost's row is resolved once per geometry
+down to frozen source nodes (phi <= 0 for field values, phi < 0 for
+normal derivatives), and sources are only ever read.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridTopology, NodeClass
+from .grid import GridError, GridTopology, NodeClass
 from .levelset import LevelSetData
 from .stencil import FitTable, neighbor_flat_offsets
-
-# The Lax-Friedrichs fixed point of the transport depends on the pseudo-CFL
-# number and on the band depth, so they are constants, not run settings.
-PSEUDO_CFL = 0.2   # pseudo-time step in units of max(dx, dy)
-TOL = 1e-9         # stagnation tolerance, relative to the band data scale
-MAX_SWEEPS = 400   # cap on the sweeps of one transport call
-BAND = 12.0        # update-band depth in units of max(dx, dy)
 
 
 def decompose(hx: np.ndarray, hy: np.ndarray, ls: LevelSetData):
@@ -49,121 +46,116 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)
 
 
-def _band(mask: np.ndarray, fits: FitTable):
-    """Flat indices of the nodes in ``mask``, the flat indices of their
-    5-point stencils ``(5, m)``, and the fit weights there ``(3, 5, m)``."""
-    idx = np.flatnonzero(mask)
-    nbr = idx[None, :] + neighbor_flat_offsets(mask.shape[1])[:, None]
-    return idx, nbr, fits.w.reshape(3, 5, -1)[:, :, idx]
+def _causal_rows(targets: np.ndarray, grid: GridTopology, phi: np.ndarray,
+                 frozen: np.ndarray):
+    """Rows ``(idx, weights)`` of shape ``(len(targets), k)`` giving each
+    target's upwind-extended value as a convex combination of frozen
+    nodes (flat indices). Upstream region nodes are memoized; short rows
+    are padded with their first source at weight zero."""
+    rows: dict = {}
 
+    def upwind(i: int, j: int):
+        """(neighbour, weight) of smaller phi on each lattice axis."""
+        for pair in (((i + 1, j), (i - 1, j)), ((i, j + 1), (i, j - 1))):
+            f, q = min((phi[q], q) for q in pair
+                       if 0 <= q[0] < grid.nx and 0 <= q[1] < grid.ny)
+            if f < phi[i, j]:
+                yield q, (phi[i, j] - f) / ((grid.x[q] - grid.x[i, j]) ** 2
+                                            + (grid.y[q] - grid.y[i, j]) ** 2)
 
-class _TransportRegion:
-    """Pseudo-time advection along the fitted normal over one update region.
+    def resolve(i: int, j: int) -> dict:
+        if (i, j) not in rows:
+            up = list(upwind(i, j))
+            if not up:
+                raise GridError(f"node ({i}, {j}) has no upwind neighbour "
+                                "to extend from")
+            total = sum(w for _, w in up)
+            row: dict = {}
+            for q, w in up:
+                sources = {q[0] * grid.ny + q[1]: 1.0} if frozen[q] else resolve(*q)
+                for s, ws in sources.items():
+                    row[s] = row.get(s, 0.0) + w / total * ws
+            rows[i, j] = row
+        return rows[i, j]
 
-    One sweep replaces each region node by ``c2 - dtau (v_x c0 + v_y c1)``
-    of its fitted plane; that is linear in the 5 stencil values, so the
-    weights are combined once into ``op`` of shape ``(5, m)``.
-    """
-
-    def __init__(self, mask: np.ndarray, fits: FitTable,
-                 vel_x: np.ndarray, vel_y: np.ndarray, dtau: float):
-        self.idx, self.nbr, w = _band(mask, fits)
-        vx = _flat(vel_x)[self.idx]
-        vy = _flat(vel_y)[self.idx]
-        self.op = w[2] - dtau * (vx * w[0] + vy * w[1])
-
-    def sweep(self, work: np.ndarray) -> int:
-        """Advect ``work`` in place until the band stagnates.
-
-        Stops once the largest update drops to ``TOL`` times the largest
-        band value (region plus its stencil halo), or after
-        ``MAX_SWEEPS``. Each call starts from ``work`` as given, with no
-        memory of earlier calls: in the n=200 circle and half-moon runs
-        to T=1 every call takes 257-311 sweeps. Reads complete before
-        the single scatter per sweep, so the update is double-buffered by
-        construction. Returns the sweeps taken.
-        """
-        flat = _flat(work)
-        tol = max(TOL * float(np.abs(flat[self.nbr]).max()), 1e-300)
-        for n in range(1, MAX_SWEEPS + 1):
-            new = np.einsum("km,km->m", self.op, flat[self.nbr])
-            delta = float(np.abs(new - flat[self.idx]).max())
-            flat[self.idx] = new
-            if delta <= tol:
-                return n
-        return MAX_SWEEPS
+    resolved = [resolve(*divmod(int(p), grid.ny)) for p in targets]
+    k = max(map(len, resolved), default=0)
+    shape = (len(resolved), k)
+    idx = [list(r) + [next(iter(r))] * (k - len(r)) for r in resolved]
+    wts = [list(r.values()) + [0.0] * (k - len(r)) for r in resolved]
+    return (np.array(idx, dtype=np.intp).reshape(shape),
+            np.array(wts, dtype=float).reshape(shape))
 
 
 class GhostExtender:
-    """Reusable extension pipeline bound to one static geometry.
+    """Ghost-value extension bound to one static geometry.
 
-    Precomputes the transport regions, the fitted normal velocity, and the
-    ghost-node frame so that the per-step work is a handful of gathered
-    band sweeps. :meth:`extend_fields` mutates the field arrays at ghost
-    nodes only.
-
-    Field values are transported over ``region_pos`` (phi > 0) and normal
-    derivatives over ``region_nonneg`` (phi >= 0), each ``BAND`` deep,
-    until the band stagnates (see :meth:`_TransportRegion.sweep`).
+    ``__init__`` resolves two causal rows per ghost node: a value row
+    over sources with phi <= 0, which carries the H.t trace, and a
+    derivative row over sources with phi < 0, which carries the fitted
+    normal derivatives ``n_x c0 + n_y c1`` of H.n, H.t and Ez, evaluated
+    at those sources only. :meth:`extend_fields` is then one
+    gather-multiply-sum per quantity plus the Taylor assembly.
     """
 
     def __init__(self, grid: GridTopology, ls: LevelSetData,
                  classes: np.ndarray, fits: FitTable):
         self.ls = ls
-        h = max(grid.dx, grid.dy)
-        dtau = PSEUDO_CFL * h
-        cap = BAND * h
-
-        vel_x = fits.value(ls.normal_x)
-        vel_y = fits.value(ls.normal_y)
-        band = fits.valid & (ls.phi <= cap)
-        self.region_pos = _TransportRegion(band & (ls.phi > 0.0), fits,
-                                           vel_x, vel_y, dtau)
-        self.region_nonneg = _TransportRegion(band & (ls.phi >= 0.0), fits,
-                                              vel_x, vel_y, dtau)
-        # Derivatives are needed on the frozen halo feeding the sweeps and,
-        # as start values, on the swept band itself.
-        self.deriv_idx, self.deriv_nbr, w = _band(
-            (np.abs(ls.phi) <= cap + 2 * h) & fits.valid, fits)
-        self.deriv_op = (_flat(ls.normal_x)[self.deriv_idx] * w[0]
-                         + _flat(ls.normal_y)[self.deriv_idx] * w[1])
-
-        self.boundary_flat = np.flatnonzero(classes == NodeClass.BOUNDARY)
         g = np.flatnonzero(classes == NodeClass.GHOST)
         self.ghost_flat = g
         self.ghost = LevelSetData(*(_flat(a)[g] for a in (
             ls.phi, ls.normal_x, ls.normal_y, ls.tangent_x, ls.tangent_y)))
 
-    def _normal_derivative_band(self, field: np.ndarray) -> np.ndarray:
-        """grad(field).n over the derivative band, zero elsewhere."""
-        out = np.zeros(field.shape)
-        _flat(out)[self.deriv_idx] = np.einsum(
-            "km,km->m", self.deriv_op, _flat(field)[self.deriv_nbr])
-        return out
+        value_src, self.value_w = _causal_rows(g, grid, ls.phi, ls.phi <= 0.0)
+        dn_src, self.dn_w = _causal_rows(g, grid, ls.phi, ls.phi < 0.0)
+
+        # Derivative sources and their 5-point stencils; ring nodes have
+        # zero fit weights and read only themselves.
+        centers, inverse = np.unique(dn_src, return_inverse=True)
+        self.dn_idx = inverse.reshape(dn_src.shape)
+        stencil = np.where(_flat(fits.valid)[centers],
+                           centers + neighbor_flat_offsets(grid.ny)[:, None],
+                           centers)
+        wc = fits.w.reshape(3, 5, -1)[:, :, centers]
+        self.dn_op = (_flat(ls.normal_x)[centers] * wc[0]
+                      + _flat(ls.normal_y)[centers] * wc[1])
+
+        # Every node a ghost reads, and positions into that list.
+        self.nodes = np.unique(np.concatenate((value_src.ravel(),
+                                               stencil.ravel())))
+        self.value_idx = np.searchsorted(self.nodes, value_src)
+        self.dn_nbr = np.searchsorted(self.nodes, stencil)
+        self.frame = LevelSetData(*(_flat(a)[self.nodes] for a in (
+            ls.phi, ls.normal_x, ls.normal_y, ls.tangent_x, ls.tangent_y)))
+        self.on_boundary = _flat(classes)[self.nodes] == NodeClass.BOUNDARY
+
+    def normal_derivatives(self, q: np.ndarray) -> np.ndarray:
+        """Fitted ``grad(q) . n`` at the derivative sources, from values
+        ``q`` of shape ``(..., len(nodes))`` at :attr:`nodes`."""
+        return np.einsum("km,...km->...m", self.dn_op, q[..., self.dn_nbr])
 
     def extend_fields(self, hx: np.ndarray, hy: np.ndarray,
                       ez: np.ndarray) -> None:
         """Write ghost values of (hx, hy, ez) in place; nothing else changes.
 
-        H.n and Ez are extended odd (zero trace, transported normal
-        derivative), H.t even (transported trace and normal derivative).
+        H.n and Ez are extended odd (zero trace, extended normal
+        derivative), H.t even (extended trace and normal derivative).
         """
-        if not self.ghost_flat.size:
-            return
-        h_perp, h_par = decompose(hx, hy, self.ls)
-        _flat(h_perp)[self.boundary_flat] = 0.0
-
-        d_perp = self._normal_derivative_band(h_perp)
-        d_par = self._normal_derivative_band(h_par)
-        d_ez = self._normal_derivative_band(ez)
-
-        self.region_pos.sweep(h_par)
-        self.region_nonneg.sweep(d_perp)
-        self.region_nonneg.sweep(d_par)
-        self.region_nonneg.sweep(d_ez)
-
         g, ghost = self.ghost_flat, self.ghost
-        perp_g = _flat(d_perp)[g] * ghost.phi
-        par_g = _flat(h_par)[g] - _flat(d_par)[g] * ghost.phi
+        if not g.size:
+            return
+        n = self.nodes
+        q = np.empty((3, n.size))
+        q[0], q[1] = decompose(_flat(hx)[n], _flat(hy)[n], self.frame)
+        q[0, self.on_boundary] = 0.0  # zero H.n trace
+        q[2] = _flat(ez)[n]
+
+        d = self.normal_derivatives(q)
+        d_perp, d_par, d_ez = np.einsum("gk,qgk->qg", self.dn_w,
+                                        d[:, self.dn_idx])
+        trace_par = np.einsum("gk,gk->g", self.value_w, q[1, self.value_idx])
+
+        perp_g = d_perp * ghost.phi
+        par_g = trace_par - d_par * ghost.phi
         _flat(hx)[g], _flat(hy)[g] = recompose(perp_g, par_g, ghost)
-        _flat(ez)[g] = _flat(d_ez)[g] * ghost.phi
+        _flat(ez)[g] = d_ez * ghost.phi

@@ -152,7 +152,7 @@ def classify_nodes(grid: GridTopology, phi: np.ndarray) -> np.ndarray:
     """Per-node classification from the shifted flags and the sign of phi.
 
     Raises if some ghost node has no exterior node within two lattice hops:
-    the extension sweep would have no authoritative data to transport.
+    its extension would have no exterior data to extend from.
     """
     boundary = grid.shifted
     inside = (phi > 0) & ~boundary

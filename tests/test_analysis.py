@@ -168,3 +168,30 @@ def test_failed_grid_in_a_process_pool_matches_serial(unstable_at_30):
         report = convergence_study(TINY_STUDY, executor=pool)
     assert report == convergence_study(TINY_STUDY)
     assert list(report.failures) == [30]
+
+
+class RecordingExecutor:
+    """Records each submission; runs it when its result is read."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def submit(self, fn, config, n):
+        self.events.append(("submit", n))
+        return SimpleNamespace(result=lambda: fn(config, n))
+
+
+def test_convergence_study_submits_the_grids_before_the_reference(
+        tiny_study, monkeypatch):
+    events = []
+    run = analysis.run_simulation
+
+    def recording_run(config, n=None, **kwargs):
+        events.append(("run", n))
+        return run(config, n=n, **kwargs)
+
+    monkeypatch.setattr(analysis, "run_simulation", recording_run)
+    report = convergence_study(TINY_STUDY, executor=RecordingExecutor(events))
+    assert events == [("submit", 30), ("submit", 40), ("run", 80),
+                      ("run", 30), ("run", 40)]
+    assert report == tiny_study[0]

@@ -2,6 +2,7 @@ import numpy as np
 
 from pecshift.cli import main
 from pecshift.export import read_field_csv
+from pecshift.solver import MaxwellStepper
 
 
 def write_config(tmp_path, text):
@@ -44,6 +45,29 @@ def test_run_writes_results_and_snapshots(tmp_path):
     final = read_field_csv(out / "final.csv")
     assert len(final["ez"]) == 30 * 30
     assert np.isfinite(final["ez"]).all()
+
+
+def test_run_writes_each_snapshot_before_the_next_step(tmp_path, monkeypatch):
+    config = write_config(tmp_path, "grid_size = 30\nfinal_time = 0.2\n"
+                                    "cfl = 0.25\nsnapshot_every = 1\n")
+    out = tmp_path / "out"
+    seen = {}  # step k -> snapshot k's bytes as step k + 1 starts
+    steps = []
+    step = MaxwellStepper.bfecc_step
+
+    def recording_step(self, state, dt):
+        k = len(steps)
+        steps.append(k)
+        if k:
+            path = out / f"snapshot_{k:05d}.csv"
+            seen[k] = path.read_bytes() if path.exists() else None
+        return step(self, state, dt)
+
+    monkeypatch.setattr(MaxwellStepper, "bfecc_step", recording_step)
+    assert run_cli(tmp_path, "run", config) == 0
+    assert list(seen) == [1, 2]
+    for k, data in seen.items():
+        assert data == (out / f"snapshot_{k:05d}.csv").read_bytes()
 
 
 def test_freespace_runs_both_schemes_without_the_shape(tmp_path, capsys):
