@@ -108,10 +108,9 @@ def _cmd_redistance(cfg, out: Path) -> int:
 
 
 def _cmd_freespace(cfg, out: Path) -> int:
-    plain = freespace_study(dataclasses.replace(cfg, shape="none",
-                                                scheme="plain"))
-    bfecc = freespace_study(dataclasses.replace(cfg, shape="none",
-                                                scheme="bfecc"))
+    configs = [dataclasses.replace(cfg, shape="none", scheme=scheme).validate()
+               for scheme in ("plain", "bfecc")]
+    plain, bfecc = map(freespace_study, configs)
     print(plain.to_text())
     print()
     print(bfecc.to_text())
@@ -147,6 +146,9 @@ def main(argv=None) -> int:
         if args.command == "freespace":
             return _cmd_freespace(cfg, out)
         print(f"error: unknown command {args.command!r}", file=sys.stderr)
+        return 2
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # noqa: BLE001 - single-line machine-parsable exit
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)

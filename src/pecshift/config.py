@@ -19,6 +19,14 @@ class ConfigError(ValueError):
     pass
 
 
+# Largest stable cfl (dt/dx) of each scheme on the uniform stencil, from
+# its von Neumann symbol g = a +- i cfl sqrt(sin^2 al + sin^2 be), with
+# a = 0.2 (1 + 2 cos al + 2 cos be): the plain sweep needs |g|^2 <= 1,
+# BFECC's g (3 - |g|^2) / 2 needs |g|^2 <= 4.
+CFL_BOUNDS = {"plain": math.sqrt(2 / 5),
+              "bfecc": math.sqrt(4.6 + math.sqrt(10.92)) / 2}
+
+
 @dataclass
 class SimulationConfig:
     """Every input of a run or study; each field is a config key.
@@ -31,7 +39,10 @@ class SimulationConfig:
       ``reference_size``: its reference run, at least twice the largest.
     - ``cfl`` (dt/dx), ``omega`` (incident angular frequency),
       ``final_time`` (at most the time the scattered field needs to reach
-      the domain edge), ``scheme`` (``bfecc`` or ``plain``).
+      the domain edge), ``scheme`` (``bfecc`` or ``plain``). ``cfl`` may
+      not exceed the scheme's free-space stability bound: sqrt(2/5) ~
+      0.63246 for ``plain``, sqrt(4.6 + sqrt(10.92))/2 ~ 1.40575 for
+      ``bfecc``.
     - ``band_width``: the study's error-sampling band outside the PEC, in
       coarsest-grid dx units.
     - ``snapshot_every``: steps between field snapshots of ``run``, 0 =
@@ -99,12 +110,17 @@ class SimulationConfig:
             raise ConfigError("grid_sizes: every entry must be at least 8")
         if any(b <= a for a, b in zip(self.grid_sizes, self.grid_sizes[1:])):
             raise ConfigError("grid_sizes: must be strictly increasing")
-        if self.cfl <= 0:
-            raise ConfigError("cfl: must be positive")
         if self.final_time <= 0:
             raise ConfigError("final_time: must be positive")
-        if self.scheme not in ("bfecc", "plain"):
+        if self.scheme not in CFL_BOUNDS:
             raise ConfigError(f"scheme: unknown scheme {self.scheme!r}")
+        if self.cfl <= 0:
+            raise ConfigError("cfl: must be positive")
+        bound = CFL_BOUNDS[self.scheme]
+        if self.cfl > bound:
+            raise ConfigError(
+                f"cfl: {self.cfl:g} exceeds the {self.scheme} scheme's "
+                f"stability bound {bound:.5f}")
         if self.band_width <= 0:
             raise ConfigError("band_width: must be positive")
         if self.threads < 1:

@@ -110,13 +110,15 @@ class GhostExtender:
         dn_src, self.dn_w = _causal_rows(g, grid, ls.phi, ls.phi < 0.0)
 
         # Derivative sources and their 5-point stencils; ring nodes have
-        # zero fit weights and read only themselves.
+        # no fit, so they get zero weights and read only themselves.
         centers, inverse = np.unique(dn_src, return_inverse=True)
         self.dn_idx = inverse.reshape(dn_src.shape)
-        stencil = np.where(_flat(fits.valid)[centers],
+        fitted = _flat(fits.valid)[centers]
+        stencil = np.where(fitted,
                            centers + neighbor_flat_offsets(grid.ny)[:, None],
                            centers)
-        wc = fits.w.reshape(3, 5, -1)[:, :, centers]
+        wc = np.zeros((3, 5, centers.size))
+        wc[:, :, fitted] = fits.weights_at(centers[fitted])
         self.dn_op = (_flat(ls.normal_x)[centers] * wc[0]
                       + _flat(ls.normal_y)[centers] * wc[1])
 

@@ -83,7 +83,8 @@ class MaxwellStepper:
             self._bnd_ny = extender.ls.normal_y.ravel()[self._bnd_flat].copy()
         elif self._bnd_flat.size:
             raise ValueError("boundary nodes present but no ghost extender")
-        self._scratch = [np.zeros(grid.shape) for _ in range(4)]
+        # One derivative term of a sweep, or BFECC's correction.
+        self._work = np.empty(grid.shape)
 
     # -- elementary operations -------------------------------------------
 
@@ -102,15 +103,20 @@ class MaxwellStepper:
         Ghost, deep-interior, and ring nodes keep their values.
         """
         f = self.fits
-        v_hx, v_hy, v_ez, g = self._scratch
-        v_hx = f.value(state.hx, v_hx)
-        v_hy = f.value(state.hy, v_hy)
-        v_ez = f.value(state.ez, v_ez)
 
-        new_hx = v_hx - dt * f.ddy(state.ez, g)
-        new_hy = v_hy + dt * f.ddx(state.ez, g)
-        new_ez = v_ez + dt * f.ddx(state.hy, g)
-        new_ez -= dt * f.ddy(state.hx, g)
+        def term(apply, u):
+            g = apply(u, self._work)
+            g *= dt
+            return g
+
+        # The three results are the only full-grid arrays a sweep allocates.
+        new_hx = f.value(state.hx)
+        new_hy = f.value(state.hy)
+        new_ez = f.value(state.ez)
+        new_hx -= term(f.ddy, state.ez)
+        new_hy += term(f.ddx, state.ez)
+        new_ez += term(f.ddx, state.hy)
+        new_ez -= term(f.ddy, state.hx)
 
         for new, old in ((new_hx, state.hx), (new_hy, state.hy),
                          (new_ez, state.ez)):
@@ -157,13 +163,16 @@ class MaxwellStepper:
         full step of the underlying scheme, boundary data included. Ring
         data thereby reaches 2 rows inward per step."""
         back = self._substep(self._substep(state, dt), -dt)
-        comp = state.copy()
-        for arr, u, ub in ((comp.hx, state.hx, back.hx),
-                           (comp.hy, state.hy, back.hy),
-                           (comp.ez, state.ez, back.ez)):
-            err = 0.5 * (u - ub)
+        # The compensated state u + 0.5 (u - back) overwrites back, which
+        # nothing else holds.
+        err = self._work
+        for u, ub in ((state.hx, back.hx), (state.hy, back.hy),
+                      (state.ez, back.ez)):
+            np.subtract(u, ub, out=err)
+            err *= 0.5
             err.reshape(-1)[self._inside_flat] = 0.0
-            arr += err
+            np.add(u, err, out=ub)
+        comp = FieldState(back.hx, back.hy, back.ez, state.time)
         return self.enforce_boundary(self._substep(comp, dt))
 
     def plain_step(self, state: FieldState, dt: float) -> FieldState:

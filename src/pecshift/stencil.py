@@ -3,8 +3,11 @@
 Every spatial operator in the solver is built from the plane
 ``u ~ c0*(x - xc) + c1*(y - yc) + c2`` fitted through the center node and
 its four lattice neighbors: ``(c0, c1)`` approximates the gradient and
-``c2`` the (Lax-Friedrichs-like) averaged value. Weights are precomputed
-per node once, since the geometry never changes during a run.
+``c2`` the (Lax-Friedrichs-like) averaged value. Away from the shifted
+nodes the stencil is the uniform lattice's, whose fit is the central
+difference and the 5-point average with constant weights; least-squares
+weights are solved and stored once per geometry only for the band of
+nodes whose stencil touches a shifted node.
 
 Stencil value order is ``(C, E, W, N, S)`` throughout.
 """
@@ -79,63 +82,83 @@ def fitted_value(weights: np.ndarray, values) -> float:
 
 
 class FitTable:
-    """Per-node fit weights for a whole grid, with vectorized application.
+    """Fit operators of one grid: the uniform stencil plus stored weights
+    for the band of nodes whose stencil touches a shifted node.
 
-    Weights exist on the interior (nodes with all four neighbors); the
-    outer ring carries zeros and is always handled analytically by callers.
-    Nodes with a fully unshifted stencil get exact central-difference /
-    5-point-average weights; only nodes whose stencil touches a shifted
-    node go through the normal-equation solve.
+    Operators exist on the interior (nodes with all four neighbors); the
+    outer ring has none, applies write zeros there, and callers handle it
+    analytically. An interior stencil that touches no shifted node is the
+    lattice's own, so its fit is the exact central difference / 5-point
+    average and needs no storage: ``w`` is ``(3, 5, m)`` over the ``m``
+    band nodes ``band`` (flat indices), and empty in free space. An apply
+    computes the uniform stencil over the whole interior with scalar
+    weights, then overwrites the band nodes from ``w``.
     """
 
-    def __init__(self, w: np.ndarray, valid: np.ndarray, dx: float, dy: float):
-        self.w = w            # (3, 5, nx, ny)
+    def __init__(self, w: np.ndarray, band: np.ndarray, valid: np.ndarray,
+                 dx: float, dy: float):
+        self.w = w            # (3, 5, m) weights of the band nodes
+        self.band = band      # (m,) sorted flat indices of the band nodes
         self.valid = valid    # (nx, ny) bool, True on the interior
         self.dx = dx
         self.dy = dy
+        self.uniform = np.zeros((3, 5))
+        self.uniform[0, 1:3] = 0.5 / dx, -0.5 / dx
+        self.uniform[1, 3:5] = 0.5 / dy, -0.5 / dy
+        self.uniform[2] = 0.2
+        offsets = neighbor_flat_offsets(valid.shape[1])
+        # (weight, flat offset) of each row's nonzero uniform terms
+        self._terms = [[(wk, off) for wk, off in zip(ws, offsets) if wk != 0.0]
+                       for ws in self.uniform]
+        self._band_nbr = band + offsets[:, None]
+        # One product term over the flat interior range, reused by every apply
+        self._term = np.empty(valid.size - 2 * valid.shape[1] - 2)
 
     @classmethod
     def build(cls, grid: GridTopology) -> "FitTable":
-        nx, ny = grid.nx, grid.ny
-        w = np.zeros((3, 5, nx, ny))
-        interior = np.zeros((nx, ny), dtype=bool)
+        interior = np.zeros(grid.shape, dtype=bool)
         interior[1:-1, 1:-1] = True
-
-        w[0, 1][interior] = 0.5 / grid.dx
-        w[0, 2][interior] = -0.5 / grid.dx
-        w[1, 3][interior] = 0.5 / grid.dy
-        w[1, 4][interior] = -0.5 / grid.dy
-        w[2, :, interior] = 0.2
-
-        band = (grid.shifted | neighbor_or(grid.shifted)) & interior
-        if band.any():
-            bi, bj = np.nonzero(band)
-            m = bi.size
-            offs = np.empty((m, 5, 2))
-            for k, (di, dj) in enumerate(STENCIL_OFFSETS):
-                offs[:, k, 0] = grid.x[bi + di, bj + dj] - grid.x[bi, bj]
-                offs[:, k, 1] = grid.y[bi + di, bj + dj] - grid.y[bi, bj]
-            try:
-                wb = _weights_batch(offs)
-            except DegenerateStencilError as err:
-                raise DegenerateStencilError(
-                    f"degenerate stencil in shifted band: {err}") from err
-            w[:, :, bi, bj] = wb.transpose(1, 2, 0)
-        return cls(w, interior, grid.dx, grid.dy)
+        band = np.flatnonzero((grid.shifted | neighbor_or(grid.shifted))
+                              & interior)
+        bi, bj = np.unravel_index(band, grid.shape)
+        offs = np.empty((band.size, 5, 2))
+        for k, (di, dj) in enumerate(STENCIL_OFFSETS):
+            offs[:, k, 0] = grid.x[bi + di, bj + dj] - grid.x[bi, bj]
+            offs[:, k, 1] = grid.y[bi + di, bj + dj] - grid.y[bi, bj]
+        try:
+            w = _weights_batch(offs)
+        except DegenerateStencilError as err:
+            raise DegenerateStencilError(
+                f"degenerate stencil in shifted band: {err}") from err
+        return cls(np.ascontiguousarray(w.transpose(1, 2, 0)), band, interior,
+                   grid.dx, grid.dy)
 
     def _apply(self, row: int, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Weighted sum over (C, E, W, N, S), each term a product added in
+        that order; the uniform stencil skips its zero weights.
+
+        The uniform stencil runs on contiguous slices of the flat arrays,
+        from node (1, 1) to (nx-2, ny-2); the ring columns in that range
+        are zeroed afterwards with the rest of the ring."""
         if out is None:
-            out = np.zeros_like(u)
-        else:
-            out[0, :] = out[-1, :] = 0.0
-            out[:, 0] = out[:, -1] = 0.0
-        w = self.w[row]
-        c = out[1:-1, 1:-1]
-        np.multiply(w[0, 1:-1, 1:-1], u[1:-1, 1:-1], out=c)
-        c += w[1, 1:-1, 1:-1] * u[2:, 1:-1]
-        c += w[2, 1:-1, 1:-1] * u[:-2, 1:-1]
-        c += w[3, 1:-1, 1:-1] * u[1:-1, 2:]
-        c += w[4, 1:-1, 1:-1] * u[1:-1, :-2]
+            out = np.empty_like(u)
+        elif not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        uf, of = u.reshape(-1), out.reshape(-1)
+        lo, hi = u.shape[1] + 1, u.size - u.shape[1] - 1
+        c, term = of[lo:hi], self._term
+        (w0, off0), *rest = self._terms[row]
+        np.multiply(uf[lo + off0:hi + off0], w0, out=c)
+        for wk, off in rest:
+            np.multiply(uf[lo + off:hi + off], wk, out=term)
+            c += term
+        out[0, :] = out[-1, :] = 0.0
+        out[:, 0] = out[:, -1] = 0.0
+        w, nbr = self.w[row], self._band_nbr
+        acc = w[0] * uf[nbr[0]]
+        for k in range(1, 5):
+            acc += w[k] * uf[nbr[k]]
+        of[self.band] = acc
         return out
 
     def ddx(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -149,10 +172,21 @@ class FitTable:
         """Fitted (averaged) value over the interior; zeros on the ring."""
         return self._apply(2, u, out)
 
-    def node_weights(self, i: int, j: int) -> np.ndarray:
-        if not self.valid[i, j]:
+    def weights_at(self, flat) -> np.ndarray:
+        """Weights ``(3, 5, ...)`` of the interior nodes with C-order flat
+        indices ``flat``: stored for band nodes, uniform elsewhere."""
+        shape = np.shape(flat)
+        flat = np.asarray(flat, dtype=np.intp).ravel()
+        ring = ~self.valid.reshape(-1)[flat]
+        if ring.any():
+            i, j = np.unravel_index(flat[ring][0], self.valid.shape)
             raise DegenerateStencilError(f"node ({i}, {j}) has no fit operator")
-        return self.w[:, :, i, j]
+        w = np.repeat(self.uniform[:, :, None], flat.size, axis=2)
+        pos = np.searchsorted(self.band, flat)
+        hit = pos < self.band.size
+        hit[hit] = self.band[pos[hit]] == flat[hit]
+        w[:, :, hit] = self.w[:, :, pos[hit]]
+        return w.reshape((3, 5) + shape)
 
 
 def neighbor_flat_offsets(ny: int) -> np.ndarray:

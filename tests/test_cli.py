@@ -72,7 +72,8 @@ def test_run_writes_each_snapshot_before_the_next_step(tmp_path, monkeypatch):
 
 def test_freespace_runs_both_schemes_without_the_shape(tmp_path, capsys):
     # the config keeps its circle; the study drops it
-    config = write_config(tmp_path, "grid_sizes = 16, 24\nfinal_time = 0.2\n")
+    config = write_config(tmp_path, "grid_sizes = 16, 24\nfinal_time = 0.2\n"
+                                    "cfl = 0.6\n")
     assert run_cli(tmp_path, "freespace", config) == 0
     text = capsys.readouterr().out
     assert "free space, scheme=plain" in text
@@ -80,6 +81,14 @@ def test_freespace_runs_both_schemes_without_the_shape(tmp_path, capsys):
     for name in ("freespace_plain.csv", "freespace_bfecc.csv"):
         rows = (tmp_path / "out" / name).read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["16", "24"]
+
+
+def test_freespace_rejects_a_cfl_unstable_for_the_plain_scheme(tmp_path, capsys):
+    # cfl 1 suits the config's BFECC but not the plain column of the study
+    config = write_config(tmp_path, "grid_sizes = 16, 24\nfinal_time = 0.2\n")
+    assert run_cli(tmp_path, "freespace", config) == 2
+    assert "plain scheme's stability bound 0.63246" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "freespace_plain.csv").exists()
 
 
 def test_convergence_in_a_worker_pool_writes_the_table(tmp_path, capsys):

@@ -45,3 +45,11 @@ class TestParseConfigText:
         assert parse_config_text("final_time = 3\n").final_time == 3.0
         with pytest.raises(ConfigError, match="^final_time: .*causality"):
             parse_config_text("final_time = 3.01\n")
+
+    @pytest.mark.parametrize("scheme, ok, bad, bound", [
+        ("plain", 0.63, 0.64, "0.63246"), ("bfecc", 1.4, 1.41, "1.40575")])
+    def test_cfl_above_the_schemes_stability_bound(self, scheme, ok, bad, bound):
+        cfg = parse_config_text(f"scheme = {scheme}\ncfl = {ok}\n")
+        assert cfg.cfl == ok
+        with pytest.raises(ConfigError, match=f"^cfl: .*{scheme}.*bound {bound}"):
+            parse_config_text(f"scheme = {scheme}\ncfl = {bad}\n")

@@ -3,13 +3,13 @@ import pickle
 import numpy as np
 import pytest
 
-from pecshift.config import SimulationConfig
+from pecshift.config import CFL_BOUNDS, SimulationConfig
 from pecshift.extension import GhostExtender
 from pecshift.grid import NodeClass, build_uniform_grid
 from pecshift.shapes import Domain
 from pecshift.solver import (FieldState, MaxwellStepper, StabilityError,
                              incident_wave, run_simulation)
-from pecshift.stencil import FitTable
+from pecshift.stencil import STENCIL_OFFSETS, FitTable
 
 from conftest import circle_geometry
 
@@ -199,6 +199,53 @@ class TestBfeccStep:
         st.bfecc_step(plane_wave_state(grid, 0.3), 0.1)
         assert times == pytest.approx([0.4, 0.3, 0.4], abs=1e-12)
 
+    def test_equals_the_sub_steps_written_out(self):
+        # Forward, backward, compensate, forward, each on fresh arrays, so
+        # any buffer bfecc_step reuses between sub-steps must not leak.
+        grid, classes, fits, ls = circle_geometry(60)
+        st = circle_stepper(60)
+        inside = (classes == NodeClass.GHOST) | (classes == NodeClass.DEEP_INTERIOR)
+        keep = inside | ~fits.valid
+
+        def fresh(s):
+            return FieldState(s.hx.copy(), s.hy.copy(), s.ez.copy(), s.time)
+
+        def ghosts_and_trace(s):
+            st.enforce_boundary(s)
+            st.extender.extend_fields(s.hx, s.hy, s.ez)
+            return s
+
+        def substep(s, dt):
+            hx = fits.value(s.hx) - dt * fits.ddy(s.ez)
+            hy = fits.value(s.hy) + dt * fits.ddx(s.ez)
+            ez = fits.value(s.ez) + dt * fits.ddx(s.hy) - dt * fits.ddy(s.hx)
+            for new, old in ((hx, s.hx), (hy, s.hy), (ez, s.ez)):
+                new[keep] = old[keep]
+            return st.apply_outer_boundary(FieldState(hx, hy, ez, s.time + dt))
+
+        def bfecc(s, dt):
+            u = ghosts_and_trace(fresh(s))
+            back = substep(ghosts_and_trace(substep(u, dt)), -dt)
+            comp = []
+            for a, b in ((u.hx, back.hx), (u.hy, back.hy), (u.ez, back.ez)):
+                err = 0.5 * (a - b)
+                err[inside] = 0.0
+                comp.append(a + err)
+            comp = ghosts_and_trace(FieldState(*comp, u.time))
+            return st.enforce_boundary(substep(comp, dt))
+
+        state = want = st.initial_state()
+        for _ in range(3):
+            # The input keeps its values apart from the PEC trace and ghosts.
+            given = ghosts_and_trace(fresh(state))
+            want = bfecc(want, grid.dx)
+            out = st.bfecc_step(state, grid.dx)
+            assert out.time == want.time
+            for name in ("hx", "hy", "ez"):
+                assert np.array_equal(getattr(out, name), getattr(want, name))
+                assert np.array_equal(getattr(state, name), getattr(given, name))
+            state = out
+
     def test_boundary_conditions_after_every_step(self):
         grid, classes, fits, ls = circle_geometry(100)
         st = circle_stepper(100)
@@ -223,6 +270,50 @@ class TestBfeccStep:
         err_plain = np.abs(s_plain.ez[inner] - exact[inner]).mean()
         err_bfecc = np.abs(s_bfecc.ez[inner] - exact[inner]).mean()
         assert err_bfecc < 0.5 * err_plain
+
+
+class TestStabilityBounds:
+    """Von Neumann analysis of the uniform sweep from its own weights: the
+    symbol is g = a +- i cfl sqrt(sin^2 al + sin^2 be); the plain scheme
+    amplifies by |g|, BFECC by |g (3 - |g|^2) / 2|."""
+
+    PLAIN = np.sqrt(2 / 5)
+    BFECC = np.sqrt(4.6 + np.sqrt(10.92)) / 2
+
+    @pytest.fixture(scope="class")
+    def symbols(self):
+        grid = build_uniform_grid(Domain(), 60, 60)
+        w = FitTable.build(grid).weights_at(30 * grid.ny + 30)
+        theta = np.linspace(-np.pi, np.pi, 721)
+        al, be = np.meshgrid(theta, theta, indexing="ij")
+        phase = [np.exp(1j * (di * al + dj * be)) for di, dj in STENCIL_OFFSETS]
+        dx_sym, dy_sym, avg = (sum(wk * p for wk, p in zip(row, phase))
+                               for row in w)
+        assert np.abs(avg.imag).max() <= 1e-15
+        assert np.abs(dx_sym.real).max() <= 1e-12
+        assert np.abs(dy_sym.real).max() <= 1e-12
+        # |g|^2 = a^2 + cfl^2 s^2, with s^2 the dt^2-free part
+        s2 = (np.abs(dx_sym) * grid.dx) ** 2 + (np.abs(dy_sym) * grid.dy) ** 2
+        return avg.real, s2
+
+    @staticmethod
+    def max_amplification(symbols, cfl, scheme):
+        a, s2 = symbols
+        g2 = a ** 2 + cfl ** 2 * s2
+        g = np.sqrt(g2)
+        return float((g if scheme == "plain" else g * np.abs(3 - g2) / 2).max())
+
+    def test_config_bounds_are_the_closed_forms(self):
+        assert CFL_BOUNDS == {"plain": pytest.approx(self.PLAIN, abs=1e-15),
+                              "bfecc": pytest.approx(self.BFECC, abs=1e-15)}
+        assert self.PLAIN == pytest.approx(0.63246, abs=5e-6)
+        assert self.BFECC == pytest.approx(1.40575, abs=5e-6)
+
+    @pytest.mark.parametrize("scheme", ["plain", "bfecc"])
+    def test_stable_below_the_bound_unstable_above(self, symbols, scheme):
+        bound = self.PLAIN if scheme == "plain" else self.BFECC
+        assert self.max_amplification(symbols, 0.995 * bound, scheme) <= 1 + 1e-12
+        assert self.max_amplification(symbols, 1.005 * bound, scheme) > 1
 
 
 class TestRunSimulation:

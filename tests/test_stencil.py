@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from pecshift.grid import build_uniform_grid
-from pecshift.shapes import Domain
-from pecshift.stencil import (DegenerateStencilError, FitTable, fit_weights,
-                              fitted_gradient, fitted_value)
+from pecshift.config import SimulationConfig
+from pecshift.grid import apply_point_shift, build_uniform_grid, neighbor_or
+from pecshift.shapes import Domain, boundary_intersections
+from pecshift.stencil import (STENCIL_OFFSETS, DegenerateStencilError,
+                              FitTable, fit_weights, fitted_gradient,
+                              fitted_value, neighbor_flat_offsets)
 
 from conftest import circle_geometry
 
@@ -127,22 +129,24 @@ class TestRandomStencilProperties:
         assert order_sym >= 1.8
 
 
+def stencil_points(grid, i: int, j: int):
+    """Absolute (C, E, W, N, S) coordinates of node (i, j)'s stencil."""
+    return [(grid.x[i + di, j + dj], grid.y[i + di, j + dj])
+            for di, dj in STENCIL_OFFSETS]
+
+
 class TestFitTable:
     def test_matches_single_stencil_weights(self):
         grid, _, fits, _ = circle_geometry(100, redistanced=False)
         bi, bj = np.nonzero(grid.shifted)
         i, j = int(bi[0]), int(bj[0])
-        pts = [(grid.x[i, j], grid.y[i, j]),
-               (grid.x[i + 1, j], grid.y[i + 1, j]),
-               (grid.x[i - 1, j], grid.y[i - 1, j]),
-               (grid.x[i, j + 1], grid.y[i, j + 1]),
-               (grid.x[i, j - 1], grid.y[i, j - 1])]
-        np.testing.assert_allclose(fits.node_weights(i, j), fit_weights(pts),
+        np.testing.assert_allclose(fits.weights_at(i * grid.ny + j),
+                                   fit_weights(stencil_points(grid, i, j)),
                                    rtol=0, atol=1e-12)
 
     def test_unshifted_nodes_use_exact_central_weights(self):
         grid, _, fits, _ = circle_geometry(100, redistanced=False)
-        w = fits.node_weights(3, 3)
+        w = fits.weights_at(3 * grid.ny + 3)
         assert w[0, 1] == 0.5 / grid.dx and w[0, 2] == -0.5 / grid.dx
         assert w[1, 3] == 0.5 / grid.dy and w[1, 4] == -0.5 / grid.dy
         assert np.all(w[2] == 0.2)
@@ -155,9 +159,73 @@ class TestFitTable:
         np.testing.assert_allclose(fits.ddy(u)[inner], 3.0, atol=1e-10)
         np.testing.assert_allclose(fits.value(u)[inner], u[inner], atol=1e-10)
 
+    def test_out_must_be_c_contiguous(self):
+        g = build_uniform_grid(Domain(), 16, 16)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            FitTable.build(g).value(g.x, np.zeros(g.shape).T)
+
     def test_no_operator_on_ring(self):
         g = build_uniform_grid(Domain(), 16, 16)
         fits = FitTable.build(g)
         assert not fits.valid[0, 5]
-        with pytest.raises(DegenerateStencilError, match="no fit operator"):
-            fits.node_weights(0, 5)
+        with pytest.raises(DegenerateStencilError, match=r"\(0, 5\) has no fit operator"):
+            fits.weights_at(5)
+
+
+GEOMETRIES = [("circle", 40), ("circle", 97), ("circle", 200),
+              ("half_moon", 40), ("half_moon", 97), ("half_moon", 200),
+              ("none", 60)]
+
+
+@pytest.fixture(scope="module", params=GEOMETRIES,
+                ids=[f"{shape}-{n}" for shape, n in GEOMETRIES])
+def fit_table(request):
+    shape, n = request.param
+    grid = build_uniform_grid(Domain(), n, n)
+    pec = SimulationConfig(shape=shape).make_shape()
+    if pec is not None:
+        pts = boundary_intersections(pec, grid.lattice_x(), grid.lattice_y())
+        grid = apply_point_shift(grid, pts)
+    return grid, FitTable.build(grid)
+
+
+class TestWeightsAt:
+    """Weights are stored only for the band of nodes whose stencil touches
+    a shifted node; every apply must equal the plain weighted sum."""
+
+    def test_band_is_the_stencils_touching_a_shifted_node(self, fit_table):
+        grid, fits = fit_table
+        touched = (grid.shifted | neighbor_or(grid.shifted)) & fits.valid
+        assert np.array_equal(fits.band, np.flatnonzero(touched))
+        assert fits.w.shape == (3, 5, fits.band.size)
+
+    def test_matches_fit_weights(self, fit_table):
+        grid, fits = fit_table
+        rng = np.random.default_rng(11)
+        uniform = np.setdiff1d(np.flatnonzero(fits.valid), fits.band)
+        nodes = np.concatenate((fits.band, rng.choice(uniform, 40, replace=False)))
+        got = fits.weights_at(nodes)
+        assert got.shape == (3, 5, nodes.size)
+        for k, p in enumerate(nodes):
+            want = fit_weights(stencil_points(grid, *divmod(int(p), grid.ny)))
+            np.testing.assert_allclose(got[:, :, k], want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("row, name", [(0, "ddx"), (1, "ddy"), (2, "value")])
+    def test_apply_is_the_sequential_weighted_sum(self, fit_table, row, name):
+        grid, fits = fit_table
+        rng = np.random.default_rng(row)
+        u = rng.normal(size=grid.shape)
+        interior = np.flatnonzero(fits.valid)
+        w = fits.weights_at(interior)[row]
+        nbr = interior + neighbor_flat_offsets(grid.ny)[:, None]
+        total = w[0] * u.ravel()[nbr[0]]
+        for k in range(1, 5):
+            total = total + w[k] * u.ravel()[nbr[k]]
+        want = np.zeros(grid.shape)
+        want.ravel()[interior] = total
+
+        apply = getattr(fits, name)
+        assert np.array_equal(apply(u), want)
+        out = rng.normal(size=grid.shape)
+        assert apply(u, out) is out
+        assert np.array_equal(out, want)
