@@ -1,18 +1,56 @@
-"""Field and grid export: CSV (lossless 17-digit floats) and legacy VTK."""
+"""Field and grid export: CSV (lossless 17-digit floats) and legacy VTK.
+
+Every float is written as ``%.17g``, so a re-read reproduces it bitwise,
+and the files are byte-identical to formatting each node on its own with
+``f"{v:.17g}"``. They are written one lattice row ``j`` at a time, with one
+``%`` operation per row; no whole-file table is built, so memory stays at
+a few rows plus the per-node coordinate strings and class names.
+"""
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .grid import CLASS_NAMES, GridTopology, NodeClass
 from .solver import FieldState
 
+# Class name of each NodeClass code, indexed by the code.
+_NAME_BY_CODE = np.array([CLASS_NAMES[NodeClass(k)] for k in range(len(NodeClass))],
+                        dtype=object)
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+
+def _class_names(classes: np.ndarray) -> np.ndarray:
+    """Class name of every node; an unknown code raises ValueError, as
+    ``NodeClass(code)`` does (a negative index would wrap around)."""
+    codes = np.asarray(classes)
+    bad = (codes < 0) | (codes >= len(_NAME_BY_CODE))
+    if bad.any():
+        NodeClass(int(codes[bad][0]))
+    return _NAME_BY_CODE[codes]
+
+
+def _coord_strings(a: np.ndarray) -> np.ndarray:
+    """``%.17g`` of every entry, formatting each distinct float64 bit pattern
+    once. Deduped by bits, not value: -0.0 prints ``-0`` and 0.0 ``0``."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    bits, inverse = np.unique(a.view(np.int64).ravel(), return_inverse=True)
+    table = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()],
+                     dtype=object)
+    return table[inverse].reshape(a.shape)
+
+
+def _rows(columns) -> Iterator[tuple]:
+    """For each lattice row j, the values of ``columns`` (each ``(nx, ny)``)
+    node by node, interleaved into one tuple."""
+    nx, ny = np.shape(columns[0])
+    row = np.empty((nx, len(columns)), dtype=object)
+    for j in range(ny):
+        for k, col in enumerate(columns):
+            row[:, k] = col[:, j]
+        yield tuple(row.ravel().tolist())
 
 
 def export_field(state: FieldState, grid: GridTopology,
@@ -22,16 +60,14 @@ def export_field(state: FieldState, grid: GridTopology,
     significant digits so a re-read reproduces the state bitwise."""
     path = Path(path)
     phi_arr = np.zeros(grid.shape) if phi is None else phi
+    columns = (_coord_strings(grid.x), _coord_strings(grid.y),
+               _class_names(classes), phi_arr, state.hx, state.hy, state.ez)
+    fmt = "%s,%s,%s,%.17g,%.17g,%.17g,%.17g\n" * grid.nx
     try:
         with open(path, "w") as fh:
             fh.write("x,y,class,phi,hx,hy,ez\n")
-            for j in range(grid.ny):
-                for i in range(grid.nx):
-                    fh.write(",".join((
-                        _fmt(grid.x[i, j]), _fmt(grid.y[i, j]),
-                        CLASS_NAMES[NodeClass(classes[i, j])],
-                        _fmt(phi_arr[i, j]), _fmt(state.hx[i, j]),
-                        _fmt(state.hy[i, j]), _fmt(state.ez[i, j]))) + "\n")
+            for values in _rows(columns):
+                fh.write(fmt % values)
     except OSError as err:
         raise OSError(f"cannot write field CSV {path}: {err}") from err
 
@@ -55,13 +91,13 @@ def read_field_csv(path) -> dict:
 def export_grid(grid: GridTopology, classes: np.ndarray, path) -> None:
     """Grid dump: i,j,x,y,shifted,class — one row per node."""
     path = Path(path)
+    columns = (np.broadcast_to(np.arange(grid.nx)[:, None], grid.shape),
+               _coord_strings(grid.x), _coord_strings(grid.y),
+               grid.shifted.astype(np.int64), _class_names(classes))
     with open(path, "w") as fh:
         fh.write("i,j,x,y,shifted,class\n")
-        for j in range(grid.ny):
-            for i in range(grid.nx):
-                fh.write(f"{i},{j},{_fmt(grid.x[i, j])},{_fmt(grid.y[i, j])},"
-                         f"{int(grid.shifted[i, j])},"
-                         f"{CLASS_NAMES[NodeClass(classes[i, j])]}\n")
+        for j, values in enumerate(_rows(columns)):
+            fh.write((f"%d,{j},%s,%s,%d,%s\n" * grid.nx) % values)
 
 
 def export_vtk(state: FieldState, grid: GridTopology,
@@ -73,6 +109,7 @@ def export_vtk(state: FieldState, grid: GridTopology,
     fields = {"ez": state.ez, "hx": state.hx, "hy": state.hy}
     if phi is not None:
         fields["phi"] = phi
+    line = " ".join(["%.17g"] * grid.nx) + "\n"
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(f"pecshift fields t={state.time:.17g}\n")
@@ -84,5 +121,4 @@ def export_vtk(state: FieldState, grid: GridTopology,
         for name, arr in fields.items():
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             for j in range(grid.ny):
-                fh.write(" ".join(_fmt(arr[i, j]) for i in range(grid.nx)))
-                fh.write("\n")
+                fh.write(line % tuple(arr[:, j].tolist()))

@@ -226,8 +226,12 @@ class SimulationSetup:
 def build_setup(config, n: int) -> SimulationSetup:
     """Grid, point shift, level set, fit operators, and stepper for size n.
 
-    The geometry stages are called through their modules, so wrappers
-    installed on those module attributes (tracing, profiling) see them."""
+    The config is validated first, so a bad one (e.g. a ``cfl`` above the
+    scheme's stability bound) raises ``ConfigError`` before anything is
+    built. The geometry stages are called through their modules, so
+    wrappers installed on those module attributes (tracing, profiling)
+    see them."""
+    config.validate()
     domain = config.domain()
     shape = config.make_shape()
     grid = lattice.build_uniform_grid(domain, n, n)

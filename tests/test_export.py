@@ -1,15 +1,149 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from pecshift.config import SimulationConfig
-from pecshift.export import export_field, read_field_csv
-from pecshift.grid import CLASS_NAMES, NodeClass
-from pecshift.solver import run_simulation
+from pecshift.export import export_field, export_grid, export_vtk, read_field_csv
+from pecshift.grid import (CLASS_NAMES, NodeClass, apply_point_shift,
+                           build_uniform_grid, classify_nodes)
+from pecshift.levelset import initialize_phi
+from pecshift.shapes import Domain, boundary_intersections
+from pecshift.solver import FieldState, run_simulation
+
+from conftest import CIRCLE, circle_geometry
 
 
-def test_field_csv_roundtrip_bitwise(tmp_path):
+# Oracle: the per-node writers, one f"{v:.17g}" per float. The exporters
+# must write exactly these bytes.
+def oracle_field(state, grid, phi, classes, path):
+    phi_arr = np.zeros(grid.shape) if phi is None else phi
+    with open(path, "w") as fh:
+        fh.write("x,y,class,phi,hx,hy,ez\n")
+        for j in range(grid.ny):
+            for i in range(grid.nx):
+                fh.write(",".join((
+                    f"{grid.x[i, j]:.17g}", f"{grid.y[i, j]:.17g}",
+                    CLASS_NAMES[NodeClass(classes[i, j])],
+                    f"{phi_arr[i, j]:.17g}", f"{state.hx[i, j]:.17g}",
+                    f"{state.hy[i, j]:.17g}", f"{state.ez[i, j]:.17g}")) + "\n")
+
+
+def oracle_grid(grid, classes, path):
+    with open(path, "w") as fh:
+        fh.write("i,j,x,y,shifted,class\n")
+        for j in range(grid.ny):
+            for i in range(grid.nx):
+                fh.write(f"{i},{j},{grid.x[i, j]:.17g},{grid.y[i, j]:.17g},"
+                         f"{int(grid.shifted[i, j])},"
+                         f"{CLASS_NAMES[NodeClass(classes[i, j])]}\n")
+
+
+def oracle_vtk(state, grid, phi, path):
+    fields = {"ez": state.ez, "hx": state.hx, "hy": state.hy}
+    if phi is not None:
+        fields["phi"] = phi
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write(f"pecshift fields t={state.time:.17g}\n")
+        fh.write("ASCII\nDATASET STRUCTURED_POINTS\n")
+        fh.write(f"DIMENSIONS {grid.nx} {grid.ny} 1\n")
+        fh.write(f"ORIGIN {grid.x0:.17g} {grid.y0:.17g} 0\n")
+        fh.write(f"SPACING {grid.dx:.17g} {grid.dy:.17g} 1\n")
+        fh.write(f"POINT_DATA {grid.nx * grid.ny}\n")
+        for name, arr in fields.items():
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            for j in range(grid.ny):
+                fh.write(" ".join(f"{arr[i, j]:.17g}" for i in range(grid.nx)))
+                fh.write("\n")
+
+
+@pytest.fixture(scope="module")
+def circle_run():
     cfg = SimulationConfig(grid_size=40, final_time=0.5).validate()
     state, setup = run_simulation(cfg)
-    grid, classes, phi = setup.grid, setup.classes, setup.ls.phi
+    return state, setup.grid, setup.ls.phi, setup.classes
+
+
+def non_square_case():
+    """Circle-shifted 37 x 23 grid with a random state, so that an i/j swap
+    changes the files."""
+    grid = build_uniform_grid(Domain(), 37, 23)
+    grid = apply_point_shift(grid, boundary_intersections(
+        CIRCLE, grid.lattice_x(), grid.lattice_y()))
+    phi = initialize_phi(CIRCLE, grid)
+    classes = classify_nodes(grid, phi)
+    rng = np.random.default_rng(12)
+    state = FieldState(*(rng.standard_normal(grid.shape) for _ in range(3)),
+                       time=0.25)
+    return state, grid, phi, classes
+
+
+def special_values_case():
+    """Signed zeros, nan, infinities and the smallest subnormal in the
+    coordinates, phi and every field."""
+    state, grid, phi, classes = non_square_case()
+    specials = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324]
+    x, y = grid.x.copy(), grid.y.copy()
+    # The lattice's first column and row already hold 0.0; a -0.0 next to
+    # them catches coordinates deduped by value instead of by bit pattern.
+    x[3, :len(specials)] = specials
+    y[:len(specials), 5] = specials
+    grid = dataclasses.replace(grid, x=x, y=y)
+    arrays = [phi.copy(), state.hx.copy(), state.hy.copy(), state.ez.copy()]
+    for k, arr in enumerate(arrays):
+        arr[k + 1, :len(specials)] = specials
+        arr[:len(specials), k + 2] = specials[::-1]
+    phi, hx, hy, ez = arrays
+    assert np.signbit(hx).any() and (hx == 0).any()
+    return FieldState(hx, hy, ez, time=-0.0), grid, phi, classes
+
+
+def without_phi(case):
+    state, grid, _, classes = case
+    return state, grid, None, classes
+
+
+CASES = {
+    "circle_40": lambda run: run,
+    "circle_40_no_phi": without_phi,
+    "non_square_37x23": lambda run: non_square_case(),
+    "non_square_no_phi": lambda run: without_phi(non_square_case()),
+    "special_values": lambda run: special_values_case(),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_files_match_the_per_node_writers_byte_for_byte(case, circle_run,
+                                                        tmp_path):
+    state, grid, phi, classes = CASES[case](circle_run)
+    export_field(state, grid, phi, classes, tmp_path / "field.csv")
+    oracle_field(state, grid, phi, classes, tmp_path / "field_oracle.csv")
+    export_vtk(state, grid, phi, tmp_path / "field.vtk")
+    oracle_vtk(state, grid, phi, tmp_path / "field_oracle.vtk")
+    export_grid(grid, classes, tmp_path / "grid.csv")
+    oracle_grid(grid, classes, tmp_path / "grid_oracle.csv")
+    for name in ("field.csv", "field.vtk", "grid.csv"):
+        stem, ext = name.split(".")
+        written = (tmp_path / name).read_bytes()
+        assert written == (tmp_path / f"{stem}_oracle.{ext}").read_bytes(), name
+        assert written.count(b"\n") > grid.ny
+
+
+@pytest.mark.parametrize("code", [-1, -4, len(NodeClass), 127])
+def test_unknown_class_code_raises(code, tmp_path):
+    state, grid, phi, classes = non_square_case()
+    classes = classes.copy()
+    classes[2, 1] = code
+    with pytest.raises(ValueError, match=f"{code} is not a valid NodeClass"):
+        export_field(state, grid, phi, classes, tmp_path / "field.csv")
+    with pytest.raises(ValueError, match=f"{code} is not a valid NodeClass"):
+        export_grid(grid, classes, tmp_path / "grid.csv")
+
+
+def test_field_csv_roundtrip_bitwise(circle_run, tmp_path):
+    state, grid, phi, classes = circle_run
     path = tmp_path / "final.csv"
     export_field(state, grid, phi, classes, path)
     back = read_field_csv(path)
@@ -23,3 +157,25 @@ def test_field_csv_roundtrip_bitwise(tmp_path):
     assert back["class"] == [CLASS_NAMES[NodeClass(c)] for c in rows(classes)]
     assert {"boundary", "ghost"} <= set(back["class"])
     assert np.abs(state.ez).max() > 0.1
+
+
+@pytest.mark.parametrize("exporter", ["field", "vtk", "grid"])
+def test_export_memory_stays_per_row(exporter, tmp_path):
+    # A whole-file string table at 200^2 would take well over 10 MB.
+    grid, classes, _, _ = circle_geometry(200, redistanced=False)
+    phi = initialize_phi(CIRCLE, grid)
+    rng = np.random.default_rng(3)
+    state = FieldState(*(rng.standard_normal(grid.shape) for _ in range(3)))
+    calls = {
+        "field": lambda: export_field(state, grid, phi, classes,
+                                      tmp_path / "f.csv"),
+        "vtk": lambda: export_vtk(state, grid, phi, tmp_path / "f.vtk"),
+        "grid": lambda: export_grid(grid, classes, tmp_path / "g.csv"),
+    }
+    tracemalloc.start()
+    try:
+        calls[exporter]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

@@ -3,12 +3,13 @@ import pickle
 import numpy as np
 import pytest
 
-from pecshift.config import CFL_BOUNDS, SimulationConfig
+from pecshift import solver
+from pecshift.config import CFL_BOUNDS, ConfigError, SimulationConfig
 from pecshift.extension import GhostExtender
 from pecshift.grid import NodeClass, build_uniform_grid
 from pecshift.shapes import Domain
 from pecshift.solver import (FieldState, MaxwellStepper, StabilityError,
-                             incident_wave, run_simulation)
+                             build_setup, incident_wave, run_simulation)
 from pecshift.stencil import STENCIL_OFFSETS, FitTable
 
 from conftest import circle_geometry
@@ -339,12 +340,26 @@ class TestRunSimulation:
         assert np.array_equal(s1.ez, s2.ez)
 
     def test_stability_sentinel(self):
-        cfg = SimulationConfig(shape="none", grid_size=24, cfl=50.0,
-                               final_time=5000.0)
+        # A config with cfl 50 is rejected, so the unstable step is passed
+        # to the stepper directly.
+        setup = build_setup(SimulationConfig(shape="none", grid_size=24), 24)
         # The blow-up is the point: keep its overflow warnings quiet.
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(StabilityError, match="step"):
-            run_simulation(cfg)
+            setup.stepper.run(5000.0, 50 * setup.grid.dx)
+
+    @pytest.mark.parametrize("entry", [run_simulation,
+                                       lambda cfg: build_setup(cfg, 24)],
+                             ids=["run_simulation", "build_setup"])
+    def test_unstable_cfl_rejected_before_building(self, entry, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("built a grid for a rejected config")
+
+        monkeypatch.setattr(solver.lattice, "build_uniform_grid", no_build)
+        cfg = SimulationConfig(shape="none", grid_size=24, scheme="plain",
+                               cfl=1.0)
+        with pytest.raises(ConfigError, match="cfl"):
+            entry(cfg)
 
     def test_stability_error_survives_pickling(self):
         # A study grid that blows up in a worker process sends this error
