@@ -5,11 +5,11 @@ from .config import ConfigError, SimulationConfig, load_config
 from .grid import (GridTopology, NodeClass, apply_point_shift,
                    build_uniform_grid, classify_nodes)
 from .levelset import (LevelSetData, build_levelset, compute_normals_tangents,
-                       initialize_phi, redistance, smoothed_sign)
+                       redistance)
 from .shapes import Circle, Domain, HalfMoon, boundary_intersections
 from .solver import (FieldState, MaxwellStepper, StabilityError,
                      incident_wave, run_simulation)
-from .stencil import DegenerateStencilError, FitTable, fit_weights
+from .stencil import DegenerateStencilError, FitTable
 
 __all__ = [
     "Circle", "ConfigError", "DegenerateStencilError", "Domain",
@@ -17,8 +17,7 @@ __all__ = [
     "MaxwellStepper", "NodeClass", "SimulationConfig", "StabilityError",
     "apply_point_shift", "boundary_intersections", "build_levelset",
     "build_uniform_grid", "classify_nodes", "compute_normals_tangents",
-    "fit_weights", "incident_wave", "initialize_phi", "load_config",
-    "redistance", "run_simulation", "smoothed_sign",
+    "incident_wave", "load_config", "redistance", "run_simulation",
 ]
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, desc in (
             ("run", "single simulation with optional snapshots"),
             ("convergence", "grid-refinement study against a reference run"),
-            ("redistance", "signed-distance diagnostics for the shape"),
+            ("redistance", "||grad phi|| check of the exact signed distance"),
             ("freespace", "plane-wave order check without a PEC")):
         p = sub.add_parser(name, help=desc)
         p.add_argument("config", help="path to the key=value config file")

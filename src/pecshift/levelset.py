@@ -1,43 +1,27 @@
 """Signed distance function to the PEC boundary, with normals and tangents.
 
 phi is positive inside the PEC object and exactly zero at shifted
-(boundary) nodes. Redistancing evolves phi in pseudo-time until the
-least-squares gradient magnitude settles at 1; normals point along
-grad(phi), i.e. into the PEC, and tangents are normals rotated clockwise
-by pi/2.
+(boundary) nodes. Every boundary is made of arcs of the shape's circles
+meeting at its corners, so phi is computed in closed form from them.
+Normals point along grad(phi), i.e. into the PEC, and tangents are
+normals rotated clockwise by pi/2.
 """
 
 from __future__ import annotations
 
-import logging
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .grid import GridTopology, NodeClass
+from .grid import GridTopology
 from .shapes import Shape
 from .stencil import FitTable
 
-logger = logging.getLogger(__name__)
-
 DEGENERATE_NORM = 1e-8
-
-# Redistancing: pseudo-time step in dx, stopping threshold on the largest
-# per-node update in dx, and the share of the 5-point fitted value mixed
-# into each update. The blended fixed point depends on the ratio of blend
-# to pseudo-CFL, so these are properties of the scheme, not run settings.
-PSEUDO_CFL = 0.2
-TOL = 1e-3
-VALUE_BLEND = 0.2
 
 
 class DegenerateNormalError(ValueError):
-    pass
-
-
-class RedistanceConvergenceWarning(UserWarning):
     pass
 
 
@@ -51,19 +35,6 @@ class LevelSetData:
     normal_y: np.ndarray
     tangent_x: np.ndarray
     tangent_y: np.ndarray
-
-
-def smoothed_sign(x, dx: float):
-    """sgn(x) = x / sqrt(x^2 + dx^2): smooth, odd, in (-1, 1)."""
-    return x / np.sqrt(x * x + dx * dx)
-
-
-def initialize_phi(shape: Shape, grid: GridTopology) -> np.ndarray:
-    """Analytic sign-correct seed for redistancing (exact for the circle),
-    with shifted boundary nodes forced to exactly zero."""
-    phi = np.asarray(shape.level(grid.x, grid.y), dtype=float)
-    phi[grid.shifted] = 0.0
-    return phi
 
 
 def gradient_with_edges(phi: np.ndarray, grid: GridTopology, fits: FitTable):
@@ -80,71 +51,38 @@ def gradient_with_edges(phi: np.ndarray, grid: GridTopology, fits: FitTable):
     return gx, gy
 
 
-def redistance(phi0: np.ndarray,
-               grid: GridTopology,
-               classes: np.ndarray,
-               fits: FitTable,
-               band_halfwidth: Optional[float] = None,
+def redistance(shape: Shape, grid: GridTopology,
                history: Optional[list] = None) -> np.ndarray:
-    """Drive phi toward a signed distance function.
+    """Exact signed distance to the boundary of ``shape`` at every node,
+    with the sign of ``shape.level`` and shifted nodes exactly zero.
 
-    Iterates ``phi <- phi - dtau * sgn(phi) * (||grad phi|| - 1)`` with
-    least-squares gradients and ``dtau = PSEUDO_CFL * dx``, pinning
-    boundary nodes to zero, until the largest per-node update falls below
-    ``TOL * dx`` or after enough sweeps for the pseudo-time front to cross
-    the grid once.
-
-    ``VALUE_BLEND`` mixes the 5-point fitted value into the time term
-    (``phi <- phi + blend*(fitted - phi) - ...``). The central-difference
-    gradient needs some of that Lax-Friedrichs dissipation to stay stable
-    at distance-function kinks (cone tips, crescent corners); full
-    averaging (blend 1) shifts the equilibrium away from the true distance
-    by about 2.5 dx^2, so the blend is kept small.
-
-    ``band_halfwidth`` (in dx units) restricts updates to a band around
-    the interface, leaving the seed untouched elsewhere. ``history``, when
-    given, receives the largest update of every sweep.
+    A node's distance to the boundary is the smaller of two terms
+    (Osher & Fedkiw, Level Set Methods, 2003, ch. 7): |rho - r| for each
+    circle whose nearest point to the node lies on the boundary (|level|
+    there within 1e-12 of the largest radius), and the distance to each
+    corner. On the circle this is ``Circle.level`` bit for bit. At a
+    circle's centre every point of it is nearest, and the point on the
+    +x axis is tested. ``history``, when given, receives one entry: the
+    largest |phi - level|.
     """
-    h = max(grid.dx, grid.dy)
-    dtau = PSEUDO_CFL * h
-    max_iter = int(round(max(grid.nx, grid.ny) / PSEUDO_CFL))
-
-    boundary = classes == NodeClass.BOUNDARY
-    frozen = boundary.copy()
-    # Ring nodes keep their analytic seed: the edge-duplicated stencil
-    # cannot represent a unit gradient there, and the PEC band never
-    # reads them.
-    frozen[0, :] = frozen[-1, :] = True
-    frozen[:, 0] = frozen[:, -1] = True
-    if band_halfwidth is not None:
-        frozen |= np.abs(phi0) > band_halfwidth * h
-
-    phi = phi0.astype(float, copy=True)
-    phi[boundary] = 0.0
-    last_update = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        gx, gy = gradient_with_edges(phi, grid, fits)
-        norm = np.hypot(gx, gy)
-        s = smoothed_sign(phi, h)
-        update = -dtau * s * (norm - 1.0)
-        update += VALUE_BLEND * (fits.value(phi) - phi)
-        update[frozen] = 0.0
-        phi += update
-        phi[boundary] = 0.0
-        last_update = float(np.abs(update).max())
-        if history is not None:
-            history.append(last_update)
-        if last_update < TOL * h:
-            break
-    else:
-        if last_update > 10 * TOL * h:
-            warnings.warn(
-                f"redistancing hit max_iter={max_iter} with max update "
-                f"{last_update:.3e} > {10 * TOL * h:.3e}",
-                RedistanceConvergenceWarning, stacklevel=2)
-    logger.debug("redistance: %d iterations, final update %.3e",
-                 iterations, last_update)
+    x, y = grid.x, grid.y
+    level = shape.level(x, y)
+    tol = 1e-12 * max(c.r for c in shape.circles)
+    dist = np.full(grid.shape, np.inf)
+    for c in shape.circles:
+        ex, ey = x - c.cx, y - c.cy
+        rho = np.hypot(ex, ey)
+        centre = rho == 0.0
+        ex[centre] = 1.0
+        s = c.r / np.where(centre, 1.0, rho)
+        on_boundary = np.abs(shape.level(c.cx + s * ex, c.cy + s * ey)) <= tol
+        dist[on_boundary] = np.minimum(dist, np.abs(rho - c.r))[on_boundary]
+    for px, py in shape.corners:
+        dist = np.minimum(dist, np.hypot(x - px, y - py))
+    phi = np.sign(level) * dist
+    phi[grid.shifted] = 0.0
+    if history is not None:
+        history.append(float(np.abs(phi - level).max()))
     return phi
 
 
@@ -201,13 +139,9 @@ def _fill_from_neighbors(nx_: np.ndarray, ny_: np.ndarray, bad: np.ndarray) -> N
         raise DegenerateNormalError("no valid normals anywhere on the grid")
 
 
-def build_levelset(phi0: np.ndarray,
-                   grid: GridTopology,
-                   classes: np.ndarray,
+def build_levelset(phi: np.ndarray, grid: GridTopology,
                    fits: FitTable) -> LevelSetData:
-    """Redistance the seed ``phi0`` (see :func:`initialize_phi`) and derive
-    the unit frame in one call."""
-    phi = redistance(phi0, grid, classes, fits)
+    """Bundle ``phi`` (see :func:`redistance`) with its unit frame."""
     nx_, ny_, tx, ty = compute_normals_tangents(phi, grid, fits)
     return LevelSetData(phi=phi, normal_x=nx_, normal_y=ny_,
                         tangent_x=tx, tangent_y=ty)

@@ -64,9 +64,9 @@ class HalfMoon:
 
     def level(self, x, y):
         """CSG level function min(phi_outer, -phi_cutter), positive inside
-        the crescent. Equals the true signed distance except in regions
-        whose nearest boundary point is a corner; redistancing corrects
-        those."""
+        the crescent. Its sign is exact, but its magnitude is a distance
+        to a whole circle, not to the arc of it that bounds the crescent;
+        ``levelset.redistance`` computes the signed distance."""
         return np.minimum(self.outer.level(x, y), -self.cutter.level(x, y))
 
     @property

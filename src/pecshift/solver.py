@@ -246,9 +246,9 @@ def build_setup(config, n: int) -> SimulationSetup:
         ls = None
         extender = None
     else:
-        phi0 = levelset.initialize_phi(shape, grid)
-        classes = lattice.classify_nodes(grid, phi0)
-        ls = levelset.build_levelset(phi0, grid, classes, fits)
+        phi = levelset.redistance(shape, grid)
+        classes = lattice.classify_nodes(grid, phi)
+        ls = levelset.build_levelset(phi, grid, fits)
         extender = GhostExtender(grid, ls, classes, fits)
     stepper = MaxwellStepper(grid, classes, fits, omega=config.omega,
                              extender=extender)

@@ -63,24 +63,6 @@ def _weights_batch(offsets: np.ndarray) -> np.ndarray:
     return w
 
 
-def fit_weights(points) -> np.ndarray:
-    """Weights (3, 5) for one stencil given absolute coordinates (5, 2),
-    center first then E, W, N, S. Rows give (d/dx, d/dy, fitted value)."""
-    pts = np.asarray(points, dtype=float).reshape(1, 5, 2)
-    return _weights_batch(pts - pts[:, :1, :])[0]
-
-
-def fitted_gradient(weights: np.ndarray, values) -> tuple[float, float]:
-    """(c0, c1) of the fit for the 5 stencil values."""
-    v = np.asarray(values, dtype=float)
-    return float(weights[0] @ v), float(weights[1] @ v)
-
-
-def fitted_value(weights: np.ndarray, values) -> float:
-    """c2 of the fit: the least-squares plane evaluated at the center."""
-    return float(weights[2] @ np.asarray(values, dtype=float))
-
-
 class FitTable:
     """Fit operators of one grid: the uniform stencil plus stored weights
     for the band of nodes whose stencil touches a shifted node.

@@ -10,7 +10,7 @@ import pytest
 from pecshift.extension import GhostExtender
 from pecshift.grid import (NodeClass, apply_point_shift, build_uniform_grid,
                            classify_nodes)
-from pecshift.levelset import LevelSetData, build_levelset, initialize_phi
+from pecshift.levelset import LevelSetData, build_levelset, redistance
 from pecshift.shapes import Circle, Domain, boundary_intersections
 from pecshift.stencil import FitTable
 
@@ -23,18 +23,15 @@ PLANAR_RING_MARGIN = 20
 
 
 @lru_cache(maxsize=8)
-def circle_geometry(n: int, redistanced: bool = True):
+def circle_geometry(n: int):
     """Shifted grid, classes, fits, and level set for the reference circle."""
     grid = build_uniform_grid(Domain(), n, n)
     pts = boundary_intersections(CIRCLE, grid.lattice_x(), grid.lattice_y())
     grid = apply_point_shift(grid, pts)
     fits = FitTable.build(grid)
-    phi0 = initialize_phi(CIRCLE, grid)
-    classes = classify_nodes(grid, phi0)
-    ls = None
-    if redistanced:
-        ls = build_levelset(phi0, grid, classes, fits)
-    return grid, classes, fits, ls
+    phi = redistance(CIRCLE, grid)
+    classes = classify_nodes(grid, phi)
+    return grid, classes, fits, build_levelset(phi, grid, fits)
 
 
 @lru_cache(maxsize=8)

@@ -1,0 +1,35 @@
+"""The benchmark's traced repetition still fits its declared metric names.
+
+``benchmarks/worker.py`` wraps public functions of ``pecshift`` by name
+(``TRACE_TARGETS``). A renamed or deleted target, or a changed signature
+the tracer relies on, silently drops its per-layer metrics from the
+result line, and the benchmark then reads the run as malformed. This
+runs one traced repetition per PEC workload in-process and checks the
+result against ``BENCHMARK.json``.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def declared_layer_names() -> set:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    # run.py adds trace.overhead_frac from the traced and plain runs
+    return {m["name"] for m in spec["per_layer"]} - {"trace.overhead_frac"}
+
+
+@pytest.mark.parametrize("name", ["circle-n200", "halfmoon-n200"])
+def test_traced_repetition_reports_every_declared_metric(name, monkeypatch,
+                                                         tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    import worker
+
+    result = worker.run_rep(name, 1, traced=True, out=tmp_path / "out")
+    assert result["missing"] == []
+    assert result["problems"] == []
+    assert set(result["layers"]) == declared_layer_names()
+    json.dumps(result, allow_nan=False)

@@ -8,7 +8,7 @@ from pecshift.config import SimulationConfig
 from pecshift.export import export_field, export_grid, export_vtk, read_field_csv
 from pecshift.grid import (CLASS_NAMES, NodeClass, apply_point_shift,
                            build_uniform_grid, classify_nodes)
-from pecshift.levelset import initialize_phi
+from pecshift.levelset import redistance
 from pecshift.shapes import Domain, boundary_intersections
 from pecshift.solver import FieldState, run_simulation
 
@@ -72,7 +72,7 @@ def non_square_case():
     grid = build_uniform_grid(Domain(), 37, 23)
     grid = apply_point_shift(grid, boundary_intersections(
         CIRCLE, grid.lattice_x(), grid.lattice_y()))
-    phi = initialize_phi(CIRCLE, grid)
+    phi = redistance(CIRCLE, grid)
     classes = classify_nodes(grid, phi)
     rng = np.random.default_rng(12)
     state = FieldState(*(rng.standard_normal(grid.shape) for _ in range(3)),
@@ -162,8 +162,8 @@ def test_field_csv_roundtrip_bitwise(circle_run, tmp_path):
 @pytest.mark.parametrize("exporter", ["field", "vtk", "grid"])
 def test_export_memory_stays_per_row(exporter, tmp_path):
     # A whole-file string table at 200^2 would take well over 10 MB.
-    grid, classes, _, _ = circle_geometry(200, redistanced=False)
-    phi = initialize_phi(CIRCLE, grid)
+    grid, classes, _, ls = circle_geometry(200)
+    phi = ls.phi
     rng = np.random.default_rng(3)
     state = FieldState(*(rng.standard_normal(grid.shape) for _ in range(3)))
     calls = {

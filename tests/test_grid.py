@@ -4,7 +4,6 @@ import pytest
 from pecshift.grid import (GridError, NodeClass, UnderResolvedGeometryWarning,
                            apply_point_shift, build_uniform_grid,
                            classify_nodes)
-from pecshift.levelset import initialize_phi
 from pecshift.shapes import Circle, Domain, boundary_intersections
 
 from conftest import CIRCLE, circle_geometry
@@ -58,7 +57,7 @@ class TestPointShift:
         assert g2.shift_drops == 1
 
     def test_idempotent_on_conforming_grid(self):
-        grid, *_ = circle_geometry(100, redistanced=False)
+        grid, *_ = circle_geometry(100)
         pts = boundary_intersections(CIRCLE, grid.lattice_x(), grid.lattice_y())
         again = apply_point_shift(grid, pts)
         assert np.array_equal(again.x, grid.x)
@@ -66,12 +65,12 @@ class TestPointShift:
         assert np.array_equal(again.shifted, grid.shifted)
 
     def test_shifted_nodes_on_circle(self):
-        grid, *_ = circle_geometry(100, redistanced=False)
+        grid, *_ = circle_geometry(100)
         r = np.hypot(grid.x[grid.shifted] - 5.0, grid.y[grid.shifted] - 5.0)
         assert np.abs(r - 2.0).max() <= 1e-10
 
     def test_displacement_bounded_by_half_diagonal(self):
-        grid, *_ = circle_geometry(200, redistanced=False)
+        grid, *_ = circle_geometry(200)
         base = build_uniform_grid(Domain(), 200, 200)
         d = np.hypot(grid.x - base.x, grid.y - base.y)
         assert d.max() <= np.hypot(grid.dx, grid.dy) / 2 + 1e-12
@@ -91,19 +90,19 @@ class TestPointShift:
 
 class TestClassification:
     def test_circle_classes(self):
-        grid, classes, _, _ = circle_geometry(200, redistanced=False)
+        grid, classes, _, _ = circle_geometry(200)
         i = np.argmin(np.abs(grid.lattice_x() - 5.0))
         j = np.argmin(np.abs(grid.lattice_y() - 5.0))
         assert classes[i, j] == NodeClass.DEEP_INTERIOR
         assert classes[1, 1] == NodeClass.EXTERIOR
 
     def test_boundary_iff_shifted(self):
-        grid, classes, _, _ = circle_geometry(100, redistanced=False)
+        grid, classes, _, _ = circle_geometry(100)
         assert np.array_equal(classes == NodeClass.BOUNDARY, grid.shifted)
 
     def test_single_ghost_layer(self):
-        grid, classes, _, _ = circle_geometry(100, redistanced=False)
-        phi = initialize_phi(CIRCLE, grid)
+        grid, classes, _, ls = circle_geometry(100)
+        phi = ls.phi
         ghost = classes == NodeClass.GHOST
         gi, gj = np.nonzero(ghost)
         inside = (phi > 0) & ~grid.shifted
@@ -115,7 +114,7 @@ class TestClassification:
     def test_ghost_count_scales_linearly(self):
         counts = []
         for n in (100, 200, 400):
-            _, classes, _, _ = circle_geometry(n, redistanced=False)
+            _, classes, _, _ = circle_geometry(n)
             counts.append(int((classes == NodeClass.GHOST).sum()))
         assert counts[1] / counts[0] == pytest.approx(2.0, abs=0.3)
         assert counts[2] / counts[1] == pytest.approx(2.0, abs=0.3)
@@ -124,7 +123,7 @@ class TestClassification:
         # one-layer sufficiency: stencils of updated nodes stay inside
         # {exterior, boundary, ghost}
         from pecshift.grid import neighbor_or
-        _, classes, _, _ = circle_geometry(100, redistanced=False)
+        _, classes, _, _ = circle_geometry(100)
         deep = classes == NodeClass.DEEP_INTERIOR
         updated = (classes == NodeClass.EXTERIOR) | (classes == NodeClass.BOUNDARY)
         assert not (neighbor_or(updated) & deep).any()
@@ -140,7 +139,7 @@ class TestClassification:
             classify_nodes(grid, phi)
 
     def test_topology_unchanged_by_shift(self):
-        grid, *_ = circle_geometry(100, redistanced=False)
+        grid, *_ = circle_geometry(100)
         base = build_uniform_grid(Domain(), 100, 100)
         assert (grid.nx, grid.ny, grid.x.shape) == (base.nx, base.ny, base.x.shape)
         assert (grid.dx, grid.dy, grid.x0, grid.y0) == (base.dx, base.dy,

@@ -1,37 +1,63 @@
+import math
+
 import numpy as np
 import pytest
 
-from pecshift.grid import NodeClass
-from pecshift.levelset import (DegenerateNormalError, compute_normals_tangents,
-                               gradient_with_edges, initialize_phi,
-                               redistance, smoothed_sign)
-from pecshift.shapes import HalfMoon, Circle
+from pecshift.grid import apply_point_shift, build_uniform_grid, classify_nodes
+from pecshift.levelset import (DegenerateNormalError, build_levelset,
+                               compute_normals_tangents, gradient_with_edges,
+                               redistance)
+from pecshift.shapes import Circle, Domain, HalfMoon, boundary_intersections
+from pecshift.stencil import FitTable
 
 from conftest import CIRCLE, circle_geometry
 
 MOON = HalfMoon(Circle(5.0, 5.0, 2.0), Circle(6.2, 5.0, 2.0))
 
 
-class TestSmoothedSign:
-    def test_odd_zero(self):
-        assert smoothed_sign(0.0, 0.3) == 0.0
+def moon_grid(n: int):
+    grid = build_uniform_grid(Domain(), n, n)
+    pts = boundary_intersections(MOON, grid.lattice_x(), grid.lattice_y())
+    return apply_point_shift(grid, pts)
 
-    def test_at_one_dx(self):
-        assert smoothed_sign(0.1, 0.1) == pytest.approx(1 / np.sqrt(2))
 
-    def test_far_field(self):
-        assert smoothed_sign(-1.0, 0.1) == pytest.approx(-10 / np.sqrt(101))
+def wrap(angle):
+    """Angle in (-pi, pi]."""
+    return np.pi - np.mod(np.pi - angle, 2 * np.pi)
 
-    def test_bounded(self):
-        x = np.linspace(-50, 50, 1001)
-        s = smoothed_sign(x, 0.05)
-        assert np.all(np.abs(s) < 1.0)
+
+def arc_distance(grid, circle: Circle, corners, mid: float):
+    """Distance from every node to the arc of ``circle`` between the two
+    ``corners`` that contains polar angle ``mid``: |rho - r| when the
+    node's polar angle lies within the arc's span, otherwise the distance
+    to the nearer end corner."""
+    dx, dy = grid.x - circle.cx, grid.y - circle.cy
+    half_span = abs(wrap(math.atan2(corners[0][1] - circle.cy,
+                                    corners[0][0] - circle.cx) - mid))
+    within = np.abs(wrap(np.arctan2(dy, dx) - mid)) <= half_span
+    to_corner = np.min([np.hypot(grid.x - px, grid.y - py)
+                        for px, py in corners], axis=0)
+    return np.where(within, np.abs(np.hypot(dx, dy) - circle.r), to_corner)
+
+
+def moon_distance(grid):
+    """Unsigned distance to the crescent: the outer arc faces away from
+    the cutter, the inner (cutter) arc faces the outer centre."""
+    outer, cutter = MOON.outer, MOON.cutter
+    away = math.atan2(outer.cy - cutter.cy, outer.cx - cutter.cx)
+    corners = MOON.corners
+    dist = np.minimum(arc_distance(grid, outer, corners, away),
+                      arc_distance(grid, cutter, corners, away))
+    dist[grid.shifted] = 0.0
+    return dist
 
 
 class TestInitializePhi:
+    """phi as a run starts from it: the closed-form signed distance."""
+
     def test_circle_values(self, circle_100):
         grid, *_ = circle_100
-        phi = initialize_phi(CIRCLE, grid)
+        phi = redistance(CIRCLE, grid)
         ic = np.argmin(np.abs(grid.lattice_x() - 5.0))
         assert phi[ic, ic] == pytest.approx(2.0, abs=grid.dx)
         j8 = np.argmin(np.abs(grid.lattice_y() - 8.0))
@@ -41,12 +67,12 @@ class TestInitializePhi:
 
     def test_boundary_nodes_exactly_zero(self, circle_100):
         grid, *_ = circle_100
-        phi = initialize_phi(CIRCLE, grid)
+        phi = redistance(CIRCLE, grid)
         assert np.all(phi[grid.shifted] == 0.0)
 
     def test_halfmoon_csg_sign(self):
-        grid, *_ = circle_geometry(100, redistanced=False)
-        phi = initialize_phi(MOON, grid)  # same lattice, different shape
+        grid = moon_grid(100)
+        phi = redistance(MOON, grid)
         ic = np.argmin(np.abs(grid.lattice_x() - 6.2))
         jc = np.argmin(np.abs(grid.lattice_y() - 5.0))
         assert phi[ic, jc] < 0  # cutter center is outside the crescent
@@ -54,27 +80,14 @@ class TestInitializePhi:
 
 class TestRedistance:
     def test_exact_seed_converges_fast_and_stays_put(self):
-        grid, classes, fits, _ = circle_geometry(200, redistanced=False)
+        # the circle's level function is its signed distance already
+        grid, *_ = circle_geometry(200)
         exact = CIRCLE.level(grid.x, grid.y)
         exact[grid.shifted] = 0.0
         hist = []
-        # band keeps the cone tip (a genuine kink the averaged scheme must
-        # erode) out of the stopping criterion
-        phi = redistance(exact, grid, classes, fits=fits, band_halfwidth=8,
-                         history=hist)
-        band = (np.abs(exact) <= 5 * grid.dx) & fits.valid
-        assert len(hist) <= 60
-        assert np.abs(phi - exact)[band].max() <= grid.dx ** 2
-
-    def test_scaled_seed_recovers_distance(self):
-        grid, classes, fits, _ = circle_geometry(100, redistanced=False)
-        exact = CIRCLE.level(grid.x, grid.y)
-        exact[grid.shifted] = 0.0
-        phi = redistance(0.5 * exact, grid, classes, fits=fits)
-        i5 = np.argmin(np.abs(grid.lattice_x() - 5.0))
-        j2 = np.argmin(np.abs(grid.lattice_y() - 2.0))
-        # one unit outside the circle
-        assert phi[i5, j2] == pytest.approx(exact[i5, j2], abs=0.02)
+        phi = redistance(CIRCLE, grid, history=hist)
+        assert np.array_equal(phi, exact)
+        assert len(hist) == 1 and hist[0] <= 1e-15
 
     def test_band_gradient_unit_norm(self):
         grid, classes, fits, ls = circle_geometry(200)
@@ -85,11 +98,14 @@ class TestRedistance:
         assert norm[band].max() <= 1.05
 
     def test_sign_preserved_everywhere(self):
-        grid, classes, fits, _ = circle_geometry(100, redistanced=False)
-        phi0 = initialize_phi(CIRCLE, grid)
-        phi = redistance(phi0, grid, classes, fits=fits)
-        off_boundary = ~grid.shifted
-        assert np.all(np.sign(phi[off_boundary]) == np.sign(phi0[off_boundary]))
+        for shape, n in [(CIRCLE, 101), (CIRCLE, 200), (MOON, 101), (MOON, 200)]:
+            grid = moon_grid(n) if shape is MOON else circle_geometry(n)[0]
+            seed = shape.level(grid.x, grid.y)
+            seed[grid.shifted] = 0.0
+            phi = redistance(shape, grid)
+            assert np.array_equal(np.sign(phi), np.sign(seed))
+            assert np.array_equal(classify_nodes(grid, phi),
+                                  classify_nodes(grid, seed))
 
     def test_boundary_pinned_to_zero(self):
         grid, classes, fits, ls = circle_geometry(100)
@@ -102,24 +118,47 @@ class TestRedistance:
         band = (np.abs(exact) <= 5 * grid.dx) & fits.valid
         assert np.abs(ls.phi - exact)[band].max() <= 2 * grid.dx ** 2 + 1e-6
 
-    def test_halfmoon_redistance_stable(self):
-        grid, classes0, fits, _ = circle_geometry(100, redistanced=False)
-        phi0 = initialize_phi(MOON, grid)
-        from pecshift.grid import classify_nodes
-        classes = classify_nodes(grid, phi0)
+    @pytest.mark.parametrize("n", [101, 200])
+    def test_halfmoon_matches_the_arc_oracle(self, n):
+        grid = moon_grid(n)
+        hist = []
+        phi = redistance(MOON, grid, history=hist)
+        np.testing.assert_allclose(np.abs(phi), moon_distance(grid),
+                                   rtol=0, atol=1e-12)
+        assert len(hist) == 1
+        assert hist[0] == np.abs(phi - MOON.level(grid.x, grid.y)).max()
+
+    @pytest.mark.parametrize("shape", [CIRCLE, MOON], ids=["circle", "half_moon"])
+    def test_finite_at_the_circle_centres(self, shape):
+        # at n = 101 lattice nodes sit exactly on (5, 5) and (6.2, 5)
+        grid = moon_grid(101) if shape is MOON else circle_geometry(101)[0]
+        centres = [(int(np.argmin(np.abs(grid.lattice_x() - c.cx))),
+                    int(np.argmin(np.abs(grid.lattice_y() - c.cy))))
+                   for c in shape.circles]
+        for (i, j), c in zip(centres, shape.circles):
+            assert (grid.x[i, j], grid.y[i, j]) == (c.cx, c.cy)
         with np.errstate(all="raise"):
-            phi = redistance(phi0, grid, classes, fits=fits)
+            phi = redistance(shape, grid)
         assert np.isfinite(phi).all()
+        want = {CIRCLE: [2.0], MOON: [-0.8, -2.0]}[shape]
+        assert [phi[i, j] for i, j in centres] == pytest.approx(want, abs=1e-12)
+
+    def test_halfmoon_redistance_stable(self):
+        grid = moon_grid(100)
+        fits = FitTable.build(grid)
+        with np.errstate(all="raise"):
+            phi = redistance(MOON, grid)
+            ls = build_levelset(phi, grid, fits)
+        assert np.isfinite(phi).all()
+        assert np.abs(np.hypot(ls.normal_x, ls.normal_y) - 1).max() <= 1e-12
         # unit gradient in the exterior band away from the two corners; the
         # corner bisector fans and the crescent's interior skeleton are
         # genuine distance-function kinks and are excluded
         gx, gy = gradient_with_edges(phi, grid, fits)
         norm = np.hypot(gx, gy)
-        corners = np.array([[5.6, 5 + np.sqrt(4 - 0.36)],
-                            [5.6, 5 - np.sqrt(4 - 0.36)]])
         band = (phi < 0) & (phi >= -5 * grid.dx) & fits.valid
         away = np.full(grid.shape, True)
-        for cx, cy in corners:
+        for cx, cy in MOON.corners:
             away &= np.hypot(grid.x - cx, grid.y - cy) > 0.8
         sel = band & away
         assert np.abs(norm[sel] - 1).max() <= 0.05
@@ -159,7 +198,7 @@ class TestNormalsTangents:
         assert np.abs(dot).max() <= 1e-12
 
     def test_degenerate_normal_near_interface_raises(self):
-        grid, _, fits, _ = circle_geometry(100, redistanced=False)
+        grid, _, fits, _ = circle_geometry(100)
         with pytest.raises(DegenerateNormalError):
             compute_normals_tangents(np.zeros(grid.shape), grid, fits)
 

@@ -5,10 +5,27 @@ from pecshift.config import SimulationConfig
 from pecshift.grid import apply_point_shift, build_uniform_grid, neighbor_or
 from pecshift.shapes import Domain, boundary_intersections
 from pecshift.stencil import (STENCIL_OFFSETS, DegenerateStencilError,
-                              FitTable, fit_weights, fitted_gradient,
-                              fitted_value, neighbor_flat_offsets)
+                              FitTable, _weights_batch, neighbor_flat_offsets)
 
 from conftest import circle_geometry
+
+
+def fit_weights(points) -> np.ndarray:
+    """Weights (3, 5) for one stencil given absolute coordinates (5, 2),
+    center first then E, W, N, S. Rows give (d/dx, d/dy, fitted value)."""
+    pts = np.asarray(points, dtype=float).reshape(1, 5, 2)
+    return _weights_batch(pts - pts[:, :1, :])[0]
+
+
+def fitted_gradient(weights: np.ndarray, values) -> tuple[float, float]:
+    """(c0, c1) of the fit for the 5 stencil values."""
+    v = np.asarray(values, dtype=float)
+    return float(weights[0] @ v), float(weights[1] @ v)
+
+
+def fitted_value(weights: np.ndarray, values) -> float:
+    """c2 of the fit: the least-squares plane evaluated at the center."""
+    return float(weights[2] @ np.asarray(values, dtype=float))
 
 
 def unshifted_stencil(h: float):
@@ -137,7 +154,7 @@ def stencil_points(grid, i: int, j: int):
 
 class TestFitTable:
     def test_matches_single_stencil_weights(self):
-        grid, _, fits, _ = circle_geometry(100, redistanced=False)
+        grid, _, fits, _ = circle_geometry(100)
         bi, bj = np.nonzero(grid.shifted)
         i, j = int(bi[0]), int(bj[0])
         np.testing.assert_allclose(fits.weights_at(i * grid.ny + j),
@@ -145,14 +162,14 @@ class TestFitTable:
                                    rtol=0, atol=1e-12)
 
     def test_unshifted_nodes_use_exact_central_weights(self):
-        grid, _, fits, _ = circle_geometry(100, redistanced=False)
+        grid, _, fits, _ = circle_geometry(100)
         w = fits.weights_at(3 * grid.ny + 3)
         assert w[0, 1] == 0.5 / grid.dx and w[0, 2] == -0.5 / grid.dx
         assert w[1, 3] == 0.5 / grid.dy and w[1, 4] == -0.5 / grid.dy
         assert np.all(w[2] == 0.2)
 
     def test_apply_linear_field_exact(self):
-        grid, _, fits, _ = circle_geometry(100, redistanced=False)
+        grid, _, fits, _ = circle_geometry(100)
         u = 2 * grid.x + 3 * grid.y + 1
         inner = np.s_[1:-1, 1:-1]
         np.testing.assert_allclose(fits.ddx(u)[inner], 2.0, atol=1e-10)
