@@ -29,7 +29,8 @@ CFL_BOUNDS = {"plain": math.sqrt(2 / 5),
 
 @dataclass
 class SimulationConfig:
-    """Every input of a run or study; each field is a config key.
+    """Every input of a run or study; each field is a config key. Every
+    float key must be finite.
 
     - ``domain_{x,y}{min,max}``: the rectangle, meshed with n x n nodes.
     - ``shape``: ``circle`` (``circle_*``), ``half_moon`` (the
@@ -37,7 +38,7 @@ class SimulationConfig:
     - ``grid_size``: n of a single run; ``grid_sizes``: the strictly
       increasing ladder of a convergence study (comma or space separated);
       ``reference_size``: its reference run, at least twice the largest.
-    - ``cfl`` (dt/dx), ``omega`` (incident angular frequency),
+    - ``cfl`` (dt/dx), ``omega`` (incident angular frequency, positive),
       ``final_time`` (at most the time the scattered field needs to reach
       the domain edge), ``scheme`` (``bfecc`` or ``plain``). ``cfl`` may
       not exceed the scheme's free-space stability bound: sqrt(2/5) ~
@@ -100,6 +101,10 @@ class SimulationConfig:
         raise ConfigError(f"shape: unknown kind {self.shape!r}")
 
     def validate(self) -> "SimulationConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name}: must be finite, got {value}")
         dom = self.domain()
         if dom.width <= 0 or dom.height <= 0:
             raise ConfigError("domain_xmax/domain_ymax: domain sides must be positive")
@@ -121,6 +126,10 @@ class SimulationConfig:
             raise ConfigError(
                 f"cfl: {self.cfl:g} exceeds the {self.scheme} scheme's "
                 f"stability bound {bound:.5f}")
+        if self.omega <= 0:
+            raise ConfigError("omega: must be positive")
+        if self.snapshot_every < 0:
+            raise ConfigError("snapshot_every: must be at least 0")
         if self.band_width <= 0:
             raise ConfigError("band_width: must be positive")
         if self.threads < 1:

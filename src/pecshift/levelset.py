@@ -2,9 +2,11 @@
 
 phi is positive inside the PEC object and exactly zero at shifted
 (boundary) nodes. Every boundary is made of arcs of the shape's circles
-meeting at its corners, so phi is computed in closed form from them.
-Normals point along grad(phi), i.e. into the PEC, and tangents are
-normals rotated clockwise by pi/2.
+meeting at its corners, so phi and its unit gradient come in closed form
+from the nearest of these features. Normals point along grad(phi), i.e.
+into the PEC, and tangents are normals rotated clockwise by pi/2. The
+frame is exact within FRAME_BAND h of the wall (h = max(dx, dy)) and zero
+elsewhere; the PEC trace and the ghost extension read it within 2.5 h.
 """
 
 from __future__ import annotations
@@ -15,20 +17,16 @@ from typing import Optional
 import numpy as np
 
 from .grid import GridTopology
-from .shapes import Shape
+from .shapes import Shape, on_boundary
 from .stencil import FitTable
 
-DEGENERATE_NORM = 1e-8
-
-
-class DegenerateNormalError(ValueError):
-    pass
+FRAME_BAND = 3.0
 
 
 @dataclass
 class LevelSetData:
     """Signed distance and unit frame per node (tangent = normal rotated
-    clockwise: t = (n_y, -n_x))."""
+    clockwise: t = (n_y, -n_x)); the frame is zero beyond FRAME_BAND h."""
 
     phi: np.ndarray
     normal_x: np.ndarray
@@ -51,97 +49,84 @@ def gradient_with_edges(phi: np.ndarray, grid: GridTopology, fits: FitTable):
     return gx, gy
 
 
-def redistance(shape: Shape, grid: GridTopology,
-               history: Optional[list] = None) -> np.ndarray:
-    """Exact signed distance to the boundary of ``shape`` at every node,
-    with the sign of ``shape.level`` and shifted nodes exactly zero.
+def _nearest_feature(shape: Shape, x: np.ndarray, y: np.ndarray):
+    """Distance from each point to the boundary of ``shape``, and the
+    nearest feature: k for the arc on ``shape.circles[k]``,
+    ``len(shape.circles) + m`` for corner m.
 
-    A node's distance to the boundary is the smaller of two terms
-    (Osher & Fedkiw, Level Set Methods, 2003, ch. 7): |rho - r| for each
-    circle whose nearest point to the node lies on the boundary (|level|
-    there within 1e-12 of the largest radius), and the distance to each
-    corner. On the circle this is ``Circle.level`` bit for bit. At a
-    circle's centre every point of it is nearest, and the point on the
-    +x axis is tested. ``history``, when given, receives one entry: the
-    largest |phi - level|.
+    An arc counts where its circle's nearest point lies on the boundary,
+    at distance |rho - r| (Osher & Fedkiw, Level Set Methods, 2003,
+    ch. 7). At a circle's centre the point on the +x axis is tested. A
+    point exactly on a corner keeps its nearest arc, whose normal exists.
     """
-    x, y = grid.x, grid.y
-    level = shape.level(x, y)
-    tol = 1e-12 * max(c.r for c in shape.circles)
-    dist = np.full(grid.shape, np.inf)
-    for c in shape.circles:
+    dist = np.full(x.shape, np.inf)
+    feature = np.zeros(x.shape, dtype=np.int8)
+    for k, c in enumerate(shape.circles):
         ex, ey = x - c.cx, y - c.cy
         rho = np.hypot(ex, ey)
         centre = rho == 0.0
         ex[centre] = 1.0
         s = c.r / np.where(centre, 1.0, rho)
-        on_boundary = np.abs(shape.level(c.cx + s * ex, c.cy + s * ey)) <= tol
-        dist[on_boundary] = np.minimum(dist, np.abs(rho - c.r))[on_boundary]
-    for px, py in shape.corners:
-        dist = np.minimum(dist, np.hypot(x - px, y - py))
-    phi = np.sign(level) * dist
+        # c + s (x - c) and |rho - r| in place, sparing grid temporaries
+        ex *= s
+        ex += c.cx
+        ey *= s
+        ey += c.cy
+        rho -= c.r
+        nearer = on_boundary(shape, ex, ey) & (np.abs(rho, out=rho) < dist)
+        np.copyto(dist, rho, where=nearer)
+        feature[nearer] = k
+    for m, (px, py) in enumerate(shape.corners, start=len(shape.circles)):
+        d = np.hypot(x - px, y - py)
+        feature[(d < dist) & (d > 0.0)] = m
+        np.minimum(dist, d, out=dist)
+    return dist, feature
+
+
+def redistance(shape: Shape, grid: GridTopology,
+               history: Optional[list] = None) -> np.ndarray:
+    """Exact signed distance to the boundary of ``shape`` at every node:
+    the distance to the nearest arc or corner, with the sign of
+    ``shape.level`` and shifted nodes exactly zero.
+
+    On the circle this is ``Circle.level`` bit for bit. ``history``,
+    when given, receives one entry: the largest |phi - level|.
+    """
+    level = shape.level(grid.x, grid.y)
+    phi = np.sign(level) * _nearest_feature(shape, grid.x, grid.y)[0]
     phi[grid.shifted] = 0.0
     if history is not None:
         history.append(float(np.abs(phi - level).max()))
     return phi
 
 
-def compute_normals_tangents(phi: np.ndarray,
-                             grid: GridTopology,
-                             fits: FitTable):
-    """Unit normal n = grad(phi)/||grad(phi)|| and clockwise tangent
-    t = (n_y, -n_x) at every node.
+def compute_normals_tangents(shape: Shape, phi: np.ndarray,
+                             grid: GridTopology):
+    """Unit normal n = grad(phi) from each node's nearest feature, and the
+    clockwise tangent t = (n_y, -n_x), where |phi| <= FRAME_BAND h; zero
+    elsewhere.
 
-    A vanishing gradient within 2.5 dx of the interface is an error;
-    farther away (e.g. the symmetric center of the object) the nearest
-    valid normal is copied instead, since those nodes never feed a stencil
-    that matters.
+    ``circles[0]`` encloses the shape, so n = -(x - c)/rho on its arc;
+    the other circles are cut out, so n = +(x - c)/rho on theirs. Near a
+    corner p, n = sign(level) (x - p)/|x - p|.
     """
-    gx, gy = gradient_with_edges(phi, grid, fits)
-    norm = np.hypot(gx, gy)
-    bad = norm < DEGENERATE_NORM
-    h = max(grid.dx, grid.dy)
-    near = np.abs(phi) <= 2.5 * h
-    if (bad & near).any():
-        i, j = np.argwhere(bad & near)[0]
-        raise DegenerateNormalError(
-            f"degenerate gradient at node ({i}, {j}), phi={phi[i, j]:.3e}")
-
-    nx_ = np.where(bad, 0.0, gx / np.where(bad, 1.0, norm))
-    ny_ = np.where(bad, 0.0, gy / np.where(bad, 1.0, norm))
-    if bad.any():
-        _fill_from_neighbors(nx_, ny_, bad)
-    tx = ny_.copy()
-    ty = -nx_
-    return nx_, ny_, tx, ty
+    band = np.abs(phi) <= FRAME_BAND * max(grid.dx, grid.dy)
+    x, y = grid.x[band], grid.y[band]
+    feature = _nearest_feature(shape, x, y)[1]
+    points = np.array([(c.cx, c.cy) for c in shape.circles]
+                      + list(shape.corners))
+    ex, ey = x - points[feature, 0], y - points[feature, 1]
+    d = np.hypot(ex, ey)
+    ex[d == 0.0], d[d == 0.0] = 1.0, 1.0  # a circle's centre: +x
+    sign = np.where(feature == 0, -1.0, 1.0)
+    corner = feature >= len(shape.circles)
+    sign[corner] = np.sign(shape.level(x[corner], y[corner]))
+    nx_, ny_ = np.zeros(grid.shape), np.zeros(grid.shape)
+    nx_[band], ny_[band] = sign * ex / d, sign * ey / d
+    return nx_, ny_, ny_.copy(), -nx_
 
 
-def _fill_from_neighbors(nx_: np.ndarray, ny_: np.ndarray, bad: np.ndarray) -> None:
-    """Copy the nearest valid normal into degenerate nodes, one lattice
-    ring per pass."""
-    missing = bad.copy()
-    for _ in range(nx_.shape[0] + nx_.shape[1]):
-        if not missing.any():
-            return
-        progressed = False
-        for src, dst in (
-                (np.s_[1:, :], np.s_[:-1, :]), (np.s_[:-1, :], np.s_[1:, :]),
-                (np.s_[:, 1:], np.s_[:, :-1]), (np.s_[:, :-1], np.s_[:, 1:])):
-            take = missing[dst] & ~missing[src]
-            if take.any():
-                nx_[dst][take] = nx_[src][take]
-                ny_[dst][take] = ny_[src][take]
-                missing[dst][take] = False
-                progressed = True
-        if not progressed:
-            break
-    if missing.any():
-        raise DegenerateNormalError("no valid normals anywhere on the grid")
-
-
-def build_levelset(phi: np.ndarray, grid: GridTopology,
-                   fits: FitTable) -> LevelSetData:
+def build_levelset(shape: Shape, phi: np.ndarray,
+                   grid: GridTopology) -> LevelSetData:
     """Bundle ``phi`` (see :func:`redistance`) with its unit frame."""
-    nx_, ny_, tx, ty = compute_normals_tangents(phi, grid, fits)
-    return LevelSetData(phi=phi, normal_x=nx_, normal_y=ny_,
-                        tangent_x=tx, tangent_y=ty)
+    return LevelSetData(phi, *compute_normals_tangents(shape, phi, grid))

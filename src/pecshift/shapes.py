@@ -92,8 +92,9 @@ class HalfMoon:
 
 
 # Either kind offers ``level(x, y)`` (positive inside), ``circles`` (the
-# circles its boundary arcs lie on, the first one bounding the shape) and
-# ``corners`` (the points where two arcs meet).
+# circles its boundary arcs lie on: ``circles[0]`` encloses the shape and
+# every other one is cut out of it) and ``corners`` (the points where two
+# arcs meet).
 Shape = Union[Circle, HalfMoon]
 
 
@@ -157,13 +158,17 @@ def boundary_intersections(shape: Shape, xs: np.ndarray, ys: np.ndarray) -> np.n
     """All points where the shape boundary crosses a grid line, shape (m, 2).
 
     ``xs``/``ys`` are the lattice line coordinates. Each circle's crossings
-    are kept where they lie on the shape's boundary (|level| within 1e-12
-    of the largest radius), which drops the parts of a crescent's circles
-    that do not bound it; the corners are appended.
+    are kept where they lie :func:`on_boundary`, which drops the parts of a
+    crescent's circles that do not bound it; the corners are appended.
     """
     pts = np.vstack([_circle_line_crossings(c, lines, axis)
                      for c in shape.circles
                      for lines, axis in ((xs, 0), (ys, 1))])
+    return np.vstack([pts[on_boundary(shape, pts[:, 0], pts[:, 1])],
+                      shape.corners])
+
+
+def on_boundary(shape: Shape, x, y):
+    """Whether points on ``shape.circles`` bound it: |level| <= 1e-12 max r."""
     tol = 1e-12 * max(c.r for c in shape.circles)
-    on_boundary = np.abs(shape.level(pts[:, 0], pts[:, 1])) <= tol
-    return np.vstack([pts[on_boundary], shape.corners])
+    return np.abs(shape.level(x, y)) <= tol

@@ -248,7 +248,7 @@ def build_setup(config, n: int) -> SimulationSetup:
     else:
         phi = levelset.redistance(shape, grid)
         classes = lattice.classify_nodes(grid, phi)
-        ls = levelset.build_levelset(phi, grid, fits)
+        ls = levelset.build_levelset(shape, phi, grid)
         extender = GhostExtender(grid, ls, classes, fits)
     stepper = MaxwellStepper(grid, classes, fits, omega=config.omega,
                              extender=extender)

@@ -31,7 +31,7 @@ def circle_geometry(n: int):
     fits = FitTable.build(grid)
     phi = redistance(CIRCLE, grid)
     classes = classify_nodes(grid, phi)
-    return grid, classes, fits, build_levelset(phi, grid, fits)
+    return grid, classes, fits, build_levelset(CIRCLE, phi, grid)
 
 
 @lru_cache(maxsize=8)

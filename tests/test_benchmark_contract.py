@@ -5,7 +5,9 @@
 the tracer relies on, silently drops its per-layer metrics from the
 result line, and the benchmark then reads the run as malformed. This
 runs one traced repetition per PEC workload in-process and checks the
-result against ``BENCHMARK.json``.
+result against ``BENCHMARK.json``. It also checks that every traced span
+is entered: a target that still resolves but that the pipeline no longer
+calls through its module attribute reads 0, and is not listed missing.
 """
 
 import json
@@ -28,8 +30,12 @@ def test_traced_repetition_reports_every_declared_metric(name, monkeypatch,
     monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
     import worker
 
-    result = worker.run_rep(name, 1, traced=True, out=tmp_path / "out")
+    spans_path = tmp_path / "spans.json"
+    result = worker.run_rep(name, 1, traced=True, out=tmp_path / "out",
+                            spans_path=spans_path)
     assert result["missing"] == []
     assert result["problems"] == []
     assert set(result["layers"]) == declared_layer_names()
     json.dumps(result, allow_nan=False)
+    entered = {s["name"] for s in json.loads(spans_path.read_text())["spans"]}
+    assert set(worker.TRACE_TARGETS) - entered == set()

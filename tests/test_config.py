@@ -1,6 +1,10 @@
+from dataclasses import fields
+
 import pytest
 
 from pecshift.config import ConfigError, SimulationConfig, parse_config_text
+
+FLOAT_KEYS = [f.name for f in fields(SimulationConfig) if f.type == "float"]
 
 REMOVED_KEYS = (
     "extension_max_steps", "extension_cfl", "extension_tol", "extension_band",
@@ -53,3 +57,27 @@ class TestParseConfigText:
         assert cfg.cfl == ok
         with pytest.raises(ConfigError, match=f"^cfl: .*{scheme}.*bound {bound}"):
             parse_config_text(f"scheme = {scheme}\ncfl = {bad}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
+            parse_config_text(f"{key} = {value}\n")
+
+    def test_infinite_final_time_without_a_shape(self):
+        # no causality bound applies in free space; the march would never end
+        with pytest.raises(ConfigError, match="^final_time: must be finite"):
+            parse_config_text("shape = none\nfinal_time = inf\n")
+
+    @pytest.mark.parametrize("line, key", [
+        ("omega = 0", "omega"), ("omega = -1", "omega"),
+        ("snapshot_every = -3", "snapshot_every"),
+    ])
+    def test_out_of_range_value_names_key(self, line, key):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            parse_config_text(line + "\n")
+
+    def test_validate_rejects_a_library_callers_nan(self):
+        with pytest.raises(ConfigError, match="^cfl: must be finite"):
+            SimulationConfig(cfl=float("nan")).validate()
+        assert SimulationConfig(snapshot_every=0).validate().snapshot_every == 0

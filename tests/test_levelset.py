@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from pecshift.grid import apply_point_shift, build_uniform_grid, classify_nodes
-from pecshift.levelset import (DegenerateNormalError, build_levelset,
-                               compute_normals_tangents, gradient_with_edges,
+from pecshift.config import SimulationConfig
+from pecshift.grid import (NodeClass, apply_point_shift, build_uniform_grid,
+                           classify_nodes)
+from pecshift.levelset import (FRAME_BAND, build_levelset, gradient_with_edges,
                                redistance)
 from pecshift.shapes import Circle, Domain, HalfMoon, boundary_intersections
+from pecshift.solver import build_setup
 from pecshift.stencil import FitTable
 
 from conftest import CIRCLE, circle_geometry
@@ -26,18 +28,26 @@ def wrap(angle):
     return np.pi - np.mod(np.pi - angle, 2 * np.pi)
 
 
+def within_arc(grid, circle: Circle, corners, mid: float):
+    """Nodes whose polar angle about ``circle``'s centre lies within the
+    arc of ``circle`` between the two ``corners`` that contains polar
+    angle ``mid``."""
+    half_span = abs(wrap(math.atan2(corners[0][1] - circle.cy,
+                                    corners[0][0] - circle.cx) - mid))
+    angle = np.arctan2(grid.y - circle.cy, grid.x - circle.cx)
+    return np.abs(wrap(angle - mid)) <= half_span
+
+
 def arc_distance(grid, circle: Circle, corners, mid: float):
     """Distance from every node to the arc of ``circle`` between the two
     ``corners`` that contains polar angle ``mid``: |rho - r| when the
     node's polar angle lies within the arc's span, otherwise the distance
     to the nearer end corner."""
-    dx, dy = grid.x - circle.cx, grid.y - circle.cy
-    half_span = abs(wrap(math.atan2(corners[0][1] - circle.cy,
-                                    corners[0][0] - circle.cx) - mid))
-    within = np.abs(wrap(np.arctan2(dy, dx) - mid)) <= half_span
     to_corner = np.min([np.hypot(grid.x - px, grid.y - py)
                         for px, py in corners], axis=0)
-    return np.where(within, np.abs(np.hypot(dx, dy) - circle.r), to_corner)
+    rho = np.hypot(grid.x - circle.cx, grid.y - circle.cy)
+    return np.where(within_arc(grid, circle, corners, mid),
+                    np.abs(rho - circle.r), to_corner)
 
 
 def moon_distance(grid):
@@ -50,6 +60,37 @@ def moon_distance(grid):
                       arc_distance(grid, cutter, corners, away))
     dist[grid.shifted] = 0.0
     return dist
+
+
+def frame_band(grid, phi):
+    return np.abs(phi) <= FRAME_BAND * max(grid.dx, grid.dy)
+
+
+def moon_normal_candidates(grid):
+    """Per node, the distance to each feature of the crescent and the
+    normal it gives, shape (4, m) and (4, 2, m): the outer arc, the
+    cutter arc, then the two corners. A feature that is not a candidate
+    has distance inf. A node on a corner takes an arc's normal there."""
+    outer, cutter = MOON.outer, MOON.cutter
+    away = math.atan2(outer.cy - cutter.cy, outer.cx - cutter.cx)
+    corners = MOON.corners
+    to_corner = [np.hypot(grid.x - px, grid.y - py) for px, py in corners]
+    on_corner = np.min(to_corner, axis=0) == 0.0
+    dists, normals = [], []
+    for circle, sign in ((outer, -1.0), (cutter, 1.0)):
+        dx, dy = grid.x - circle.cx, grid.y - circle.cy
+        rho = np.hypot(dx, dy)
+        within = within_arc(grid, circle, corners, away) | on_corner
+        dists.append(np.where(within, np.abs(rho - circle.r), np.inf))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            normals.append([sign * dx / rho, sign * dy / rho])
+    level_sign = np.sign(MOON.level(grid.x, grid.y))
+    for (px, py), d in zip(corners, to_corner):
+        dists.append(np.where(d > 0.0, d, np.inf))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            normals.append([level_sign * (grid.x - px) / d,
+                            level_sign * (grid.y - py) / d])
+    return np.array(dists), np.array(normals)
 
 
 class TestInitializePhi:
@@ -148,9 +189,11 @@ class TestRedistance:
         fits = FitTable.build(grid)
         with np.errstate(all="raise"):
             phi = redistance(MOON, grid)
-            ls = build_levelset(phi, grid, fits)
+            ls = build_levelset(MOON, phi, grid)
         assert np.isfinite(phi).all()
-        assert np.abs(np.hypot(ls.normal_x, ls.normal_y) - 1).max() <= 1e-12
+        band = frame_band(grid, phi)
+        norm = np.hypot(ls.normal_x, ls.normal_y)
+        assert np.abs(norm[band] - 1).max() <= 1e-12
         # unit gradient in the exterior band away from the two corners; the
         # corner bisector fans and the crescent's interior skeleton are
         # genuine distance-function kinks and are excluded
@@ -190,19 +233,64 @@ class TestNormalsTangents:
 
     def test_unit_and_orthogonal(self):
         grid, classes, fits, ls = circle_geometry(100)
-        nn = np.hypot(ls.normal_x, ls.normal_y)
-        tt = np.hypot(ls.tangent_x, ls.tangent_y)
+        band = frame_band(grid, ls.phi)
+        nn = np.hypot(ls.normal_x, ls.normal_y)[band]
+        tt = np.hypot(ls.tangent_x, ls.tangent_y)[band]
         assert np.abs(nn - 1).max() <= 1e-12
         assert np.abs(tt - 1).max() <= 1e-12
         dot = ls.normal_x * ls.tangent_x + ls.normal_y * ls.tangent_y
         assert np.abs(dot).max() <= 1e-12
 
-    def test_degenerate_normal_near_interface_raises(self):
-        grid, _, fits, _ = circle_geometry(100)
-        with pytest.raises(DegenerateNormalError):
-            compute_normals_tangents(np.zeros(grid.shape), grid, fits)
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_circle_band_normals_are_radial(self, n):
+        grid, classes, fits, ls = circle_geometry(n)
+        band = frame_band(grid, ls.phi)
+        dx, dy = grid.x - CIRCLE.cx, grid.y - CIRCLE.cy
+        rho = np.hypot(dx, dy)
+        np.testing.assert_allclose(ls.normal_x[band], -(dx / rho)[band],
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(ls.normal_y[band], -(dy / rho)[band],
+                                   rtol=0, atol=1e-15)
+        assert not ls.normal_x[~band].any() and not ls.normal_y[~band].any()
 
-    def test_symmetric_center_gets_copied_normal(self):
-        grid, classes, fits, ls = circle_geometry(100)
-        # every node has a unit normal, including the cone tip at the center
-        assert np.abs(np.hypot(ls.normal_x, ls.normal_y) - 1).max() <= 1e-12
+    @pytest.mark.parametrize("n", [101, 200])
+    def test_halfmoon_band_normals_match_the_nearest_feature(self, n):
+        grid = moon_grid(n)
+        phi = redistance(MOON, grid)
+        ls = build_levelset(MOON, phi, grid)
+        band = frame_band(grid, phi)
+        dists, normals = moon_normal_candidates(grid)
+        dists, normals = dists[:, band], normals[:, :, band]
+        got = np.array([ls.normal_x[band], ls.normal_y[band]])
+        # any feature within 1e-12 of the nearest is a valid choice
+        nearest = dists <= dists.min(axis=0) + 1e-12
+        match = np.abs(normals - got).max(axis=1) <= 1e-12
+        assert (nearest & match).any(axis=0).all()
+        # both corners are the only nearest feature of some band nodes
+        assert (nearest[2:] & ~nearest[:2].any(axis=0)).any(axis=1).all()
+
+    @pytest.mark.parametrize("n", [97, 99])
+    def test_nodes_on_the_corners_take_an_arc_normal(self, n):
+        grid = moon_grid(n)
+        with np.errstate(all="raise"):
+            phi = redistance(MOON, grid)
+            ls = build_levelset(MOON, phi, grid)
+        for px, py in MOON.corners:
+            at = (grid.x == px) & (grid.y == py)
+            assert at.sum() == 1 and grid.shifted[at].all()
+            got = np.array([ls.normal_x[at][0], ls.normal_y[at][0]])
+            arcs = [sign * np.array([px - c.cx, py - c.cy]) / c.r
+                    for c, sign in ((MOON.outer, -1.0), (MOON.cutter, 1.0))]
+            assert min(np.abs(got - a).max() for a in arcs) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["circle", "half_moon"])
+    @pytest.mark.parametrize("n", [97, 99, 101, 200, 229, 376])
+    def test_every_node_read_has_a_unit_normal(self, kind, n):
+        setup = build_setup(SimulationConfig(shape=kind), n)
+        ext = setup.stepper.extender
+        read = np.concatenate((
+            np.flatnonzero(setup.classes == NodeClass.BOUNDARY),
+            ext.ghost_flat, ext.nodes,
+            ext.nodes[ext.dn_nbr[0]]))  # the derivative centres
+        norm = np.hypot(setup.ls.normal_x, setup.ls.normal_y).ravel()[read]
+        assert np.abs(norm - 1).max() <= 1e-12
