@@ -21,7 +21,7 @@ from . import grid as lattice, levelset, shapes
 from .extension import GhostExtender
 from .grid import GridTopology, NodeClass
 from .levelset import LevelSetData
-from .stencil import FitTable
+from .stencil import FitTable, split_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -83,8 +83,15 @@ class MaxwellStepper:
             self._bnd_ny = extender.ls.normal_y.ravel()[self._bnd_flat].copy()
         elif self._bnd_flat.size:
             raise ValueError("boundary nodes present but no ghost extender")
-        # One derivative term of a sweep, or BFECC's correction.
-        self._work = np.empty(grid.shape)
+        # BFECC's compensation runs over blocks of all flat nodes, each with
+        # the positions of its inside nodes.
+        comp = split_blocks(0, grid.x.size)
+        cuts = np.searchsorted(self._inside_flat, [lo for lo, _ in comp[1:]])
+        self._comp_blocks = [(lo, hi, ins - lo) for (lo, hi), ins in
+                             zip(comp, np.split(self._inside_flat, cuts))]
+        # One derivative term of a sweep's block, or a block of BFECC's
+        # correction.
+        self._work = np.empty(max(hi - lo for lo, hi in comp + fits.blocks))
 
     # -- elementary operations -------------------------------------------
 
@@ -101,26 +108,38 @@ class MaxwellStepper:
 
         ``dt`` is signed: a backward sweep is the same call with ``-dt``.
         Ghost, deep-interior, and ring nodes keep their values.
+
+        The update runs block by block over the fit table's ``blocks``, so
+        a block's inputs and results stay in cache through all seven
+        applies. Each node takes the fitted value, then adds or subtracts
+        ``dt`` times each derivative term in turn, whatever the blocks, so
+        the result is bitwise the whole-grid update.
         """
         f = self.fits
-
-        def term(apply, u):
-            g = apply(u, self._work)
-            g *= dt
-            return g
-
         # The three results are the only full-grid arrays a sweep allocates.
-        new_hx = f.value(state.hx)
-        new_hy = f.value(state.hy)
-        new_ez = f.value(state.ez)
-        new_hx -= term(f.ddy, state.ez)
-        new_hy += term(f.ddx, state.ez)
-        new_ez += term(f.ddx, state.hy)
-        new_ez -= term(f.ddy, state.hx)
+        new_hx, new_hy, new_ez = (np.empty(self.grid.shape) for _ in range(3))
+        flat_hx, flat_hy, flat_ez = (a.reshape(-1)
+                                     for a in (new_hx, new_hy, new_ez))
 
-        for new, old in ((new_hx, state.hx), (new_hy, state.hy),
-                         (new_ez, state.ez)):
-            new.reshape(-1)[self._keep_flat] = old.reshape(-1)[self._keep_flat]
+        for k, (lo, hi) in enumerate(f.blocks):
+            work = self._work[:hi - lo]
+
+            def term(apply, u):
+                g = apply(u, work, k)
+                g *= dt
+                return g
+
+            hx = f.value(state.hx, flat_hx[lo:hi], k)
+            hy = f.value(state.hy, flat_hy[lo:hi], k)
+            ez = f.value(state.ez, flat_ez[lo:hi], k)
+            hx -= term(f.ddy, state.ez)
+            hy += term(f.ddx, state.ez)
+            ez += term(f.ddx, state.hy)
+            ez -= term(f.ddy, state.hx)
+
+        for new, old in ((flat_hx, state.hx), (flat_hy, state.hy),
+                         (flat_ez, state.ez)):
+            new[self._keep_flat] = old.reshape(-1)[self._keep_flat]
         return FieldState(new_hx, new_hy, new_ez, state.time + dt)
 
     def enforce_boundary(self, state: FieldState) -> FieldState:
@@ -161,17 +180,21 @@ class MaxwellStepper:
         The outer ring is set to the incident wave after every sub-sweep,
         at that sub-sweep's time (t+dt, t, t+dt), so each sub-step is a
         full step of the underlying scheme, boundary data included. Ring
-        data thereby reaches 2 rows inward per step."""
+        data thereby reaches 2 rows inward per step.
+
+        The compensated state ``u + 0.5 (u - back)``, with the correction
+        zeroed at inside nodes, is formed block by block in a block-sized
+        buffer, with the same operations per node as over the whole grid."""
         back = self._substep(self._substep(state, dt), -dt)
-        # The compensated state u + 0.5 (u - back) overwrites back, which
-        # nothing else holds.
-        err = self._work
+        # The compensated state overwrites back, which nothing else holds.
         for u, ub in ((state.hx, back.hx), (state.hy, back.hy),
                       (state.ez, back.ez)):
-            np.subtract(u, ub, out=err)
-            err *= 0.5
-            err.reshape(-1)[self._inside_flat] = 0.0
-            np.add(u, err, out=ub)
+            uf, bf = u.reshape(-1), ub.reshape(-1)
+            for lo, hi, inside in self._comp_blocks:
+                err = np.subtract(uf[lo:hi], bf[lo:hi], out=self._work[:hi - lo])
+                err *= 0.5
+                err[inside] = 0.0
+                np.add(uf[lo:hi], err, out=bf[lo:hi])
         comp = FieldState(back.hx, back.hy, back.ez, state.time)
         return self.enforce_boundary(self._substep(comp, dt))
 

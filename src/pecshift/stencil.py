@@ -22,6 +22,12 @@ STENCIL_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))  # C E W N S
 
 DET_GUARD = 1e-12
 
+# Nodes per block of an apply or a sweep. A sweep runs all seven applies
+# over one block before the next, so its inputs, results and scratch are
+# read from cache, not memory; a 200^2 grid (39,598 interior nodes) stays
+# one block.
+BLOCK_NODES = 40_000
+
 
 class DegenerateStencilError(ValueError):
     pass
@@ -72,9 +78,15 @@ class FitTable:
     analytically. An interior stencil that touches no shifted node is the
     lattice's own, so its fit is the exact central difference / 5-point
     average and needs no storage: ``w`` is ``(3, 5, m)`` over the ``m``
-    band nodes ``band`` (flat indices), and empty in free space. An apply
-    computes the uniform stencil over the whole interior with scalar
-    weights, then overwrites the band nodes from ``w``.
+    band nodes ``band`` (flat indices), and empty in free space.
+
+    Applies run over ``blocks``: the flat range from node (1, 1) to
+    (nx-2, ny-2) cut once, at build time, into ``(lo, hi)`` pieces of at
+    most ``BLOCK_NODES`` nodes, each with its own slice of the band. A
+    block computes the uniform stencil with scalar weights, then
+    overwrites its band nodes from ``w``. Every node sums the same
+    products in the same order whatever the blocks, so the output is
+    bitwise the sequential weighted sum.
     """
 
     def __init__(self, w: np.ndarray, band: np.ndarray, valid: np.ndarray,
@@ -88,13 +100,21 @@ class FitTable:
         self.uniform[0, 1:3] = 0.5 / dx, -0.5 / dx
         self.uniform[1, 3:5] = 0.5 / dy, -0.5 / dy
         self.uniform[2] = 0.2
-        offsets = neighbor_flat_offsets(valid.shape[1])
+        ny = valid.shape[1]
+        offsets = neighbor_flat_offsets(ny)
         # (weight, flat offset) of each row's nonzero uniform terms
         self._terms = [[(wk, off) for wk, off in zip(ws, offsets) if wk != 0.0]
                        for ws in self.uniform]
-        self._band_nbr = band + offsets[:, None]
-        # One product term over the flat interior range, reused by every apply
-        self._term = np.empty(valid.size - 2 * valid.shape[1] - 2)
+        self.blocks = split_blocks(ny + 1, valid.size - ny - 1)
+        # Per block: its band nodes' positions in the block, their weights
+        # and their neighbors' flat indices.
+        cuts = np.searchsorted(band, [lo for lo, _ in self.blocks[1:]])
+        self._block_band = [
+            (at - lo, wb, nbr) for (lo, _), at, wb, nbr in zip(
+                self.blocks, np.split(band, cuts), np.split(w, cuts, axis=2),
+                np.split(band + offsets[:, None], cuts, axis=1))]
+        # One product term of a block, reused by every apply
+        self._term = np.empty(max(hi - lo for lo, hi in self.blocks))
 
     @classmethod
     def build(cls, grid: GridTopology) -> "FitTable":
@@ -115,44 +135,63 @@ class FitTable:
         return cls(np.ascontiguousarray(w.transpose(1, 2, 0)), band, interior,
                    grid.dx, grid.dy)
 
-    def _apply(self, row: int, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def _apply(self, row: int, u: np.ndarray, out: np.ndarray | None,
+               block: int | None) -> np.ndarray:
         """Weighted sum over (C, E, W, N, S), each term a product added in
         that order; the uniform stencil skips its zero weights.
 
-        The uniform stencil runs on contiguous slices of the flat arrays,
-        from node (1, 1) to (nx-2, ny-2); the ring columns in that range
-        are zeroed afterwards with the rest of the ring."""
-        if out is None:
-            out = np.empty_like(u)
-        elif not out.flags.c_contiguous:
-            raise ValueError("out must be C-contiguous")
-        uf, of = u.reshape(-1), out.reshape(-1)
-        lo, hi = u.shape[1] + 1, u.size - u.shape[1] - 1
-        c, term = of[lo:hi], self._term
+        With ``block`` set, computes block ``k = block`` of ``blocks`` into
+        ``out``, a flat array of the block's length; ring columns inside
+        the block get values the caller discards. Without it, runs every
+        block into a grid-shaped ``out`` and zeroes the whole ring."""
+        if u.shape != self.valid.shape:
+            raise ValueError(f"u has shape {u.shape}, the fit table's grid "
+                             f"is {self.valid.shape}")
+        if block is None:
+            if out is None:
+                out = np.empty(self.valid.shape)
+            elif out.shape != self.valid.shape:
+                raise ValueError(f"out has shape {out.shape}, the fit "
+                                 f"table's grid is {self.valid.shape}")
+            elif not out.flags.c_contiguous:
+                raise ValueError("out must be C-contiguous")
+            of = out.reshape(-1)
+            for k, (lo, hi) in enumerate(self.blocks):
+                self._apply(row, u, of[lo:hi], k)
+            out[0, :] = out[-1, :] = 0.0
+            out[:, 0] = out[:, -1] = 0.0
+            return out
+        uf = u.reshape(-1)
+        lo, hi = self.blocks[block]
+        term = self._term[:hi - lo]
         (w0, off0), *rest = self._terms[row]
-        np.multiply(uf[lo + off0:hi + off0], w0, out=c)
+        np.multiply(uf[lo + off0:hi + off0], w0, out=out)
         for wk, off in rest:
             np.multiply(uf[lo + off:hi + off], wk, out=term)
-            c += term
-        out[0, :] = out[-1, :] = 0.0
-        out[:, 0] = out[:, -1] = 0.0
-        w, nbr = self.w[row], self._band_nbr
-        acc = w[0] * uf[nbr[0]]
-        for k in range(1, 5):
-            acc += w[k] * uf[nbr[k]]
-        of[self.band] = acc
+            out += term
+        at, w, nbr = self._block_band[block]
+        if at.size:
+            w = w[row]
+            acc = w[0] * uf[nbr[0]]
+            for k in range(1, 5):
+                acc += w[k] * uf[nbr[k]]
+            out[at] = acc
         return out
 
-    def ddx(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Fitted d/dx over the interior; zeros on the outer ring."""
-        return self._apply(0, u, out)
+    def ddx(self, u: np.ndarray, out: np.ndarray | None = None,
+            block: int | None = None) -> np.ndarray:
+        """Fitted d/dx over the interior; zeros on the outer ring. With
+        ``block``, only that block of ``blocks``, into its flat ``out``."""
+        return self._apply(0, u, out, block)
 
-    def ddy(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return self._apply(1, u, out)
+    def ddy(self, u: np.ndarray, out: np.ndarray | None = None,
+            block: int | None = None) -> np.ndarray:
+        return self._apply(1, u, out, block)
 
-    def value(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def value(self, u: np.ndarray, out: np.ndarray | None = None,
+              block: int | None = None) -> np.ndarray:
         """Fitted (averaged) value over the interior; zeros on the ring."""
-        return self._apply(2, u, out)
+        return self._apply(2, u, out, block)
 
     def weights_at(self, flat) -> np.ndarray:
         """Weights ``(3, 5, ...)`` of the interior nodes with C-order flat
@@ -169,6 +208,14 @@ class FitTable:
         hit[hit] = self.band[pos[hit]] == flat[hit]
         w[:, :, hit] = self.w[:, :, pos[hit]]
         return w.reshape((3, 5) + shape)
+
+
+def split_blocks(lo: int, hi: int) -> list:
+    """``[lo, hi)`` cut evenly into the fewest ``(start, stop)`` pieces of
+    at most ``BLOCK_NODES`` nodes."""
+    count = max(1, -(-(hi - lo) // BLOCK_NODES))
+    edges = [lo + (hi - lo) * k // count for k in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def neighbor_flat_offsets(ny: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
-from pecshift import solver
+from pecshift import solver, stencil
 from pecshift.config import CFL_BOUNDS, ConfigError, SimulationConfig
 from pecshift.extension import GhostExtender
 from pecshift.grid import NodeClass, build_uniform_grid
@@ -201,51 +201,23 @@ class TestBfeccStep:
         assert times == pytest.approx([0.4, 0.3, 0.4], abs=1e-12)
 
     def test_equals_the_sub_steps_written_out(self):
-        # Forward, backward, compensate, forward, each on fresh arrays, so
-        # any buffer bfecc_step reuses between sub-steps must not leak.
         grid, classes, fits, ls = circle_geometry(60)
-        st = circle_stepper(60)
-        inside = (classes == NodeClass.GHOST) | (classes == NodeClass.DEEP_INTERIOR)
-        keep = inside | ~fits.valid
+        assert_bfecc_is_the_sub_steps_written_out(grid, classes, fits,
+                                                  circle_stepper(60))
 
-        def fresh(s):
-            return FieldState(s.hx.copy(), s.hy.copy(), s.ez.copy(), s.time)
-
-        def ghosts_and_trace(s):
-            st.enforce_boundary(s)
-            st.extender.extend_fields(s.hx, s.hy, s.ez)
-            return s
-
-        def substep(s, dt):
-            hx = fits.value(s.hx) - dt * fits.ddy(s.ez)
-            hy = fits.value(s.hy) + dt * fits.ddx(s.ez)
-            ez = fits.value(s.ez) + dt * fits.ddx(s.hy) - dt * fits.ddy(s.hx)
-            for new, old in ((hx, s.hx), (hy, s.hy), (ez, s.ez)):
-                new[keep] = old[keep]
-            return st.apply_outer_boundary(FieldState(hx, hy, ez, s.time + dt))
-
-        def bfecc(s, dt):
-            u = ghosts_and_trace(fresh(s))
-            back = substep(ghosts_and_trace(substep(u, dt)), -dt)
-            comp = []
-            for a, b in ((u.hx, back.hx), (u.hy, back.hy), (u.ez, back.ez)):
-                err = 0.5 * (a - b)
-                err[inside] = 0.0
-                comp.append(a + err)
-            comp = ghosts_and_trace(FieldState(*comp, u.time))
-            return st.enforce_boundary(substep(comp, dt))
-
-        state = want = st.initial_state()
-        for _ in range(3):
-            # The input keeps its values apart from the PEC trace and ghosts.
-            given = ghosts_and_trace(fresh(state))
-            want = bfecc(want, grid.dx)
-            out = st.bfecc_step(state, grid.dx)
-            assert out.time == want.time
-            for name in ("hx", "hy", "ez"):
-                assert np.array_equal(getattr(out, name), getattr(want, name))
-                assert np.array_equal(getattr(state, name), getattr(given, name))
-            state = out
+    @pytest.mark.parametrize("shape", ["circle", "half_moon"])
+    def test_blocked_step_equals_the_sub_steps_written_out(self, shape,
+                                                           monkeypatch):
+        # The reference applies run as one block; the stepper's sweeps and
+        # compensation run in 257-node blocks.
+        cfg = SimulationConfig(shape=shape)
+        ref = build_setup(cfg, 60)
+        assert len(ref.fits.blocks) == 1
+        monkeypatch.setattr(stencil, "BLOCK_NODES", 257)
+        st = build_setup(cfg, 60).stepper
+        assert len(st.fits.blocks) > 1 and len(st._comp_blocks) > 1
+        assert_bfecc_is_the_sub_steps_written_out(ref.grid, ref.classes,
+                                                  ref.fits, st)
 
     def test_boundary_conditions_after_every_step(self):
         grid, classes, fits, ls = circle_geometry(100)
@@ -375,3 +347,51 @@ class TestRunSimulation:
         run_simulation(cfg, on_step=lambda s, k: seen.append(k))
         assert seen == list(range(1, len(seen) + 1))
         assert len(seen) >= 1
+
+
+def assert_bfecc_is_the_sub_steps_written_out(grid, classes, fits, st):
+    """Three BFECC steps of ``st`` equal forward, backward, compensate,
+    forward written out with the whole-grid applies of ``fits``, each on
+    fresh arrays, so any buffer bfecc_step reuses between sub-steps must
+    not leak."""
+    inside = (classes == NodeClass.GHOST) | (classes == NodeClass.DEEP_INTERIOR)
+    keep = inside | ~fits.valid
+
+    def fresh(s):
+        return FieldState(s.hx.copy(), s.hy.copy(), s.ez.copy(), s.time)
+
+    def ghosts_and_trace(s):
+        st.enforce_boundary(s)
+        st.extender.extend_fields(s.hx, s.hy, s.ez)
+        return s
+
+    def substep(s, dt):
+        hx = fits.value(s.hx) - dt * fits.ddy(s.ez)
+        hy = fits.value(s.hy) + dt * fits.ddx(s.ez)
+        ez = fits.value(s.ez) + dt * fits.ddx(s.hy) - dt * fits.ddy(s.hx)
+        for new, old in ((hx, s.hx), (hy, s.hy), (ez, s.ez)):
+            new[keep] = old[keep]
+        return st.apply_outer_boundary(FieldState(hx, hy, ez, s.time + dt))
+
+    def bfecc(s, dt):
+        u = ghosts_and_trace(fresh(s))
+        back = substep(ghosts_and_trace(substep(u, dt)), -dt)
+        comp = []
+        for a, b in ((u.hx, back.hx), (u.hy, back.hy), (u.ez, back.ez)):
+            err = 0.5 * (a - b)
+            err[inside] = 0.0
+            comp.append(a + err)
+        comp = ghosts_and_trace(FieldState(*comp, u.time))
+        return st.enforce_boundary(substep(comp, dt))
+
+    state = want = st.initial_state()
+    for _ in range(3):
+        # The input keeps its values apart from the PEC trace and ghosts.
+        given = ghosts_and_trace(fresh(state))
+        want = bfecc(want, grid.dx)
+        out = st.bfecc_step(state, grid.dx)
+        assert out.time == want.time
+        for name in ("hx", "hy", "ez"):
+            assert np.array_equal(getattr(out, name), getattr(want, name))
+            assert np.array_equal(getattr(state, name), getattr(given, name))
+        state = out

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pecshift import stencil
 from pecshift.config import SimulationConfig
 from pecshift.grid import apply_point_shift, build_uniform_grid, neighbor_or
 from pecshift.shapes import Domain, boundary_intersections
@@ -181,6 +182,22 @@ class TestFitTable:
         with pytest.raises(ValueError, match="C-contiguous"):
             FitTable.build(g).value(g.x, np.zeros(g.shape).T)
 
+    @pytest.mark.parametrize("name", ["u", "out"])
+    def test_arrays_must_have_the_grid_shape(self, name):
+        g = build_uniform_grid(Domain(), 60, 60)
+        fits = FitTable.build(g)
+        arrays = {"u": g.x, "out": None, name: np.empty((61, 59))}
+        with pytest.raises(ValueError,
+                           match=rf"{name} has shape \(61, 59\), the fit table's "
+                                 rf"grid is \(60, 60\)"):
+            fits.value(arrays["u"], arrays["out"])
+
+    def test_fortran_ordered_input(self):
+        g = build_uniform_grid(Domain(), 16, 16)
+        fits = FitTable.build(g)
+        u = np.random.default_rng(0).normal(size=g.shape)
+        assert np.array_equal(fits.ddx(np.asfortranarray(u)), fits.ddx(u))
+
     def test_no_operator_on_ring(self):
         g = build_uniform_grid(Domain(), 16, 16)
         fits = FitTable.build(g)
@@ -230,19 +247,42 @@ class TestWeightsAt:
     @pytest.mark.parametrize("row, name", [(0, "ddx"), (1, "ddy"), (2, "value")])
     def test_apply_is_the_sequential_weighted_sum(self, fit_table, row, name):
         grid, fits = fit_table
-        rng = np.random.default_rng(row)
-        u = rng.normal(size=grid.shape)
-        interior = np.flatnonzero(fits.valid)
-        w = fits.weights_at(interior)[row]
-        nbr = interior + neighbor_flat_offsets(grid.ny)[:, None]
-        total = w[0] * u.ravel()[nbr[0]]
-        for k in range(1, 5):
-            total = total + w[k] * u.ravel()[nbr[k]]
-        want = np.zeros(grid.shape)
-        want.ravel()[interior] = total
+        assert_sequential_weighted_sum(grid, fits, row, name)
 
-        apply = getattr(fits, name)
-        assert np.array_equal(apply(u), want)
-        out = rng.normal(size=grid.shape)
-        assert apply(u, out) is out
-        assert np.array_equal(out, want)
+    @pytest.mark.parametrize("row, name", [(0, "ddx"), (1, "ddy"), (2, "value")])
+    def test_blocked_apply_is_the_sequential_weighted_sum(self, fit_table, row,
+                                                          name, monkeypatch):
+        # 257-node blocks do not divide ny, so block edges cut through
+        # rows, ring columns and the band.
+        grid, _ = fit_table
+        monkeypatch.setattr(stencil, "BLOCK_NODES", 257)
+        fits = FitTable.build(grid)
+        starts, stops = zip(*fits.blocks)
+        assert starts[0] == grid.ny + 1 and stops[-1] == grid.x.size - grid.ny - 1
+        assert starts[1:] == stops[:-1]
+        assert np.diff(fits.blocks).max() <= 257
+        if fits.band.size:  # the band spans several blocks
+            assert np.unique(np.searchsorted(starts, fits.band, "right")).size > 1
+        assert_sequential_weighted_sum(grid, fits, row, name)
+
+
+def assert_sequential_weighted_sum(grid, fits, row, name):
+    """The apply equals sum_k w[k] * u[nbr[k]], added in (C, E, W, N, S)
+    order, at every interior node, and zero on the ring; whole-grid calls
+    with and without ``out``."""
+    rng = np.random.default_rng(row)
+    u = rng.normal(size=grid.shape)
+    interior = np.flatnonzero(fits.valid)
+    w = fits.weights_at(interior)[row]
+    nbr = interior + neighbor_flat_offsets(grid.ny)[:, None]
+    total = w[0] * u.ravel()[nbr[0]]
+    for k in range(1, 5):
+        total = total + w[k] * u.ravel()[nbr[k]]
+    want = np.zeros(grid.shape)
+    want.ravel()[interior] = total
+
+    apply = getattr(fits, name)
+    assert np.array_equal(apply(u), want)
+    out = rng.normal(size=grid.shape)
+    assert apply(u, out) is out
+    assert np.array_equal(out, want)
