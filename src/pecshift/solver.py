@@ -92,11 +92,16 @@ class MaxwellStepper:
         # One derivative term of a sweep's block, or a block of BFECC's
         # correction.
         self._work = np.empty(max(hi - lo for lo, hi in comp + fits.blocks))
+        # Two block-sized staging sets (hx, hy, ez) for a sweep's results.
+        self._stage = np.empty((2, 3, max(hi - lo for lo, hi in fits.blocks)))
 
     # -- elementary operations -------------------------------------------
 
-    def sweep(self, state: FieldState, dt: float) -> FieldState:
-        """One explicit update of all exterior and boundary nodes.
+    def sweep(self, state: FieldState, dt: float,
+              out: Optional[FieldState] = None) -> FieldState:
+        """One explicit update of all exterior and boundary nodes, written
+        into ``out`` (new arrays when None), which is returned at time
+        ``state.time + dt``. ``out`` may be ``state`` itself.
 
         The update is ``A u + dt M u``: ``A`` is the 5-point fitted
         average, which does not depend on dt, and ``M`` the fitted Maxwell
@@ -113,13 +118,24 @@ class MaxwellStepper:
         a block's inputs and results stay in cache through all seven
         applies. Each node takes the fitted value, then adds or subtracts
         ``dt`` times each derivative term in turn, whatever the blocks, so
-        the result is bitwise the whole-grid update.
+        the result is bitwise the whole-grid update. Block k is computed
+        into one of two staging sets, and block k-1 is written to ``out``
+        only once block k is done: block k+1 reads no node before
+        ``hi_k - ny``, and every block is at least a row (``ny`` nodes)
+        long, so no block reads a result. The kept nodes' values are
+        gathered before the blocks and scattered back after them.
         """
         f = self.fits
-        # The three results are the only full-grid arrays a sweep allocates.
-        new_hx, new_hy, new_ez = (np.empty(self.grid.shape) for _ in range(3))
-        flat_hx, flat_hy, flat_ez = (a.reshape(-1)
-                                     for a in (new_hx, new_hy, new_ez))
+        if out is None:
+            out = FieldState(*(np.empty(self.grid.shape) for _ in range(3)))
+        results = [a.reshape(-1) for a in (out.hx, out.hy, out.ez)]
+        kept = [a.reshape(-1)[self._keep_flat]
+                for a in (state.hx, state.hy, state.ez)]
+
+        def write_back(k):
+            lo, hi = f.blocks[k]
+            for new, staged in zip(results, self._stage[k % 2]):
+                new[lo:hi] = staged[:hi - lo]
 
         for k, (lo, hi) in enumerate(f.blocks):
             work = self._work[:hi - lo]
@@ -129,18 +145,22 @@ class MaxwellStepper:
                 g *= dt
                 return g
 
-            hx = f.value(state.hx, flat_hx[lo:hi], k)
-            hy = f.value(state.hy, flat_hy[lo:hi], k)
-            ez = f.value(state.ez, flat_ez[lo:hi], k)
+            hx, hy, ez = self._stage[k % 2, :, :hi - lo]
+            f.value(state.hx, hx, k)
+            f.value(state.hy, hy, k)
+            f.value(state.ez, ez, k)
             hx -= term(f.ddy, state.ez)
             hy += term(f.ddx, state.ez)
             ez += term(f.ddx, state.hy)
             ez -= term(f.ddy, state.hx)
+            if k:
+                write_back(k - 1)
+        write_back(len(f.blocks) - 1)
 
-        for new, old in ((flat_hx, state.hx), (flat_hy, state.hy),
-                         (flat_ez, state.ez)):
-            new[self._keep_flat] = old.reshape(-1)[self._keep_flat]
-        return FieldState(new_hx, new_hy, new_ez, state.time + dt)
+        for new, old in zip(results, kept):
+            new[self._keep_flat] = old
+        out.time = state.time + dt
+        return out
 
     def enforce_boundary(self, state: FieldState) -> FieldState:
         """Set Ez = 0 and remove the normal H component at boundary nodes."""
@@ -162,14 +182,15 @@ class MaxwellStepper:
         state.ez.reshape(-1)[self._ring_flat] = iez
         return state
 
-    def _substep(self, state: FieldState, dt: float) -> FieldState:
-        """One full step of the underlying scheme: PEC trace, ghosts, sweep,
-        then the outer ring at the new time. ``state`` is modified in place
-        by the first two."""
+    def _substep(self, state: FieldState, dt: float,
+                 out: Optional[FieldState] = None) -> FieldState:
+        """One full step of the underlying scheme: PEC trace, ghosts, sweep
+        (into ``out``, new arrays when None), then the outer ring at the
+        new time. ``state`` is modified in place by the first two."""
         self.enforce_boundary(state)
         if self.extender is not None:
             self.extender.extend_fields(state.hx, state.hy, state.ez)
-        return self.apply_outer_boundary(self.sweep(state, dt))
+        return self.apply_outer_boundary(self.sweep(state, dt, out))
 
     # -- time stepping ----------------------------------------------------
 
@@ -182,11 +203,16 @@ class MaxwellStepper:
         full step of the underlying scheme, boundary data included. Ring
         data thereby reaches 2 rows inward per step.
 
-        The compensated state ``u + 0.5 (u - back)``, with the correction
-        zeroed at inside nodes, is formed block by block in a block-sized
-        buffer, with the same operations per node as over the whole grid."""
-        back = self._substep(self._substep(state, dt), -dt)
-        # The compensated state overwrites back, which nothing else holds.
+        The forward sub-step writes into new arrays, the step's only
+        full-grid allocation; the backward sub-step, the compensation and
+        the last forward sub-step all overwrite those arrays, which are
+        returned. So ``state`` is changed only by its PEC trace and
+        ghosts, and no two returned states share memory. The compensated
+        state ``u + 0.5 (u - back)``, with the correction zeroed at inside
+        nodes, is formed block by block in a block-sized buffer, with the
+        same operations per node as over the whole grid."""
+        fwd = self._substep(state, dt)
+        back = self._substep(fwd, -dt, fwd)
         for u, ub in ((state.hx, back.hx), (state.hy, back.hy),
                       (state.ez, back.ez)):
             uf, bf = u.reshape(-1), ub.reshape(-1)
@@ -195,8 +221,8 @@ class MaxwellStepper:
                 err *= 0.5
                 err[inside] = 0.0
                 np.add(uf[lo:hi], err, out=bf[lo:hi])
-        comp = FieldState(back.hx, back.hy, back.ez, state.time)
-        return self.enforce_boundary(self._substep(comp, dt))
+        back.time = state.time
+        return self.enforce_boundary(self._substep(back, dt, back))
 
     def plain_step(self, state: FieldState, dt: float) -> FieldState:
         """Single forward sweep of the underlying first-order scheme."""

@@ -82,11 +82,18 @@ class FitTable:
 
     Applies run over ``blocks``: the flat range from node (1, 1) to
     (nx-2, ny-2) cut once, at build time, into ``(lo, hi)`` pieces of at
-    most ``BLOCK_NODES`` nodes, each with its own slice of the band. A
-    block computes the uniform stencil with scalar weights, then
-    overwrites its band nodes from ``w``. Every node sums the same
-    products in the same order whatever the blocks, so the output is
-    bitwise the sequential weighted sum.
+    most ``BLOCK_NODES`` nodes, each with its own slice of the band. No
+    block is shorter than a lattice row (``ny`` nodes), so a later block
+    reads nothing of the block before last, which lets a sweep write its
+    results over its inputs (``MaxwellStepper.sweep``). A block computes
+    the uniform stencil, then overwrites its band nodes from ``w``.
+
+    Every nonzero uniform weight of a row has one magnitude ``c`` (0.2,
+    0.5/dx or 0.5/dy), so a block scales ``u`` by ``c`` once and adds or
+    subtracts the scaled neighbors in (C, E, W, N, S) order. In IEEE
+    round-to-nearest ``fl(-c*x) = -fl(c*x)`` and ``a + (-b)`` is
+    ``a - b``, so this is bitwise the sum of the products ``w[k]*u`` in
+    that order, whatever the blocks: the sequential weighted sum.
     """
 
     def __init__(self, w: np.ndarray, band: np.ndarray, valid: np.ndarray,
@@ -102,10 +109,19 @@ class FitTable:
         self.uniform[2] = 0.2
         ny = valid.shape[1]
         offsets = neighbor_flat_offsets(ny)
-        # (weight, flat offset) of each row's nonzero uniform terms
-        self._terms = [[(wk, off) for wk, off in zip(ws, offsets) if wk != 0.0]
-                       for ws in self.uniform]
-        self.blocks = split_blocks(ny + 1, valid.size - ny - 1)
+        # Per row: the magnitude c of its nonzero uniform weights, the flat
+        # offsets c*u spans, and each term's start in c*u with the ufunc
+        # that adds it (np.add) or subtracts it (np.subtract).
+        self._scaled = []
+        for ws in self.uniform:
+            nz = ws != 0.0
+            c = abs(ws[nz][0])
+            assert np.all(np.abs(ws[nz]) == c) and ws[nz][0] > 0
+            offs = offsets[nz]
+            self._scaled.append((c, offs.min(), offs.max(), [
+                (off - offs.min(), np.add if wk > 0 else np.subtract)
+                for wk, off in zip(ws[nz], offs)]))
+        self.blocks = split_blocks(ny + 1, valid.size - ny - 1, min_len=ny)
         # Per block: its band nodes' positions in the block, their weights
         # and their neighbors' flat indices.
         cuts = np.searchsorted(band, [lo for lo, _ in self.blocks[1:]])
@@ -113,8 +129,8 @@ class FitTable:
             (at - lo, wb, nbr) for (lo, _), at, wb, nbr in zip(
                 self.blocks, np.split(band, cuts), np.split(w, cuts, axis=2),
                 np.split(band + offsets[:, None], cuts, axis=1))]
-        # One product term of a block, reused by every apply
-        self._term = np.empty(max(hi - lo for lo, hi in self.blocks))
+        # c*u over a block and a row either side, reused by every apply
+        self._cu = np.empty(max(hi - lo for lo, hi in self.blocks) + 2 * ny)
 
     @classmethod
     def build(cls, grid: GridTopology) -> "FitTable":
@@ -137,8 +153,9 @@ class FitTable:
 
     def _apply(self, row: int, u: np.ndarray, out: np.ndarray | None,
                block: int | None) -> np.ndarray:
-        """Weighted sum over (C, E, W, N, S), each term a product added in
-        that order; the uniform stencil skips its zero weights.
+        """Weighted sum over (C, E, W, N, S) in that order: ``c*u`` once,
+        then the first two scaled terms combined and the rest added or
+        subtracted in place by sign; band nodes are overwritten from ``w``.
 
         With ``block`` set, computes block ``k = block`` of ``blocks`` into
         ``out``, a flat array of the block's length; ring columns inside
@@ -161,14 +178,22 @@ class FitTable:
             out[0, :] = out[-1, :] = 0.0
             out[:, 0] = out[:, -1] = 0.0
             return out
-        uf = u.reshape(-1)
+        if not 0 <= block < len(self.blocks):
+            raise ValueError(f"block {block} is out of range: the fit table "
+                             f"has {len(self.blocks)} blocks")
         lo, hi = self.blocks[block]
-        term = self._term[:hi - lo]
-        (w0, off0), *rest = self._terms[row]
-        np.multiply(uf[lo + off0:hi + off0], w0, out=out)
-        for wk, off in rest:
-            np.multiply(uf[lo + off:hi + off], wk, out=term)
-            out += term
+        n = hi - lo
+        if out is not None and out.shape != (n,):
+            raise ValueError(f"out has shape {out.shape}, block {block} "
+                             f"needs a flat array of length {n}")
+        uf = u.reshape(-1)
+        c, first, last, terms = self._scaled[row]
+        cu = np.multiply(uf[lo + first:hi + last], c,
+                         out=self._cu[:n + last - first])
+        (s0, _), (s1, op1), *rest = terms
+        out = op1(cu[s0:s0 + n], cu[s1:s1 + n], out=out)
+        for s, op in rest:
+            op(out, cu[s:s + n], out=out)
         at, w, nbr = self._block_band[block]
         if at.size:
             w = w[row]
@@ -210,10 +235,13 @@ class FitTable:
         return w.reshape((3, 5) + shape)
 
 
-def split_blocks(lo: int, hi: int) -> list:
+def split_blocks(lo: int, hi: int, min_len: int = 1) -> list:
     """``[lo, hi)`` cut evenly into the fewest ``(start, stop)`` pieces of
-    at most ``BLOCK_NODES`` nodes."""
-    count = max(1, -(-(hi - lo) // BLOCK_NODES))
+    at most ``BLOCK_NODES`` nodes, but into no piece shorter than
+    ``min_len`` when there is more than one: at most ``(hi - lo) //
+    min_len`` pieces, which may then exceed ``BLOCK_NODES``."""
+    count = -(-(hi - lo) // BLOCK_NODES)
+    count = max(1, min(count, (hi - lo) // min_len))
     edges = [lo + (hi - lo) * k // count for k in range(count + 1)]
     return list(zip(edges[:-1], edges[1:]))
 

@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,23 @@ class TestSweep:
         frozen = (classes == NodeClass.GHOST) | (classes == NodeClass.DEEP_INTERIOR)
         assert np.array_equal(out.ez[frozen], s.ez[frozen])
         assert np.array_equal(out.hx[frozen], s.hx[frozen])
+
+    @pytest.mark.parametrize("shape", ["circle", "half_moon", "none"])
+    def test_in_place_equals_new_arrays(self, shape, monkeypatch):
+        # 257-node blocks cut through the band and the ring columns.
+        monkeypatch.setattr(stencil, "BLOCK_NODES", 257)
+        setup = build_setup(SimulationConfig(shape=shape), 60)
+        assert len(setup.fits.blocks) > 1
+        assert_in_place_sweep_equals_new_arrays(setup)
+
+    def test_in_place_with_blocks_shorter_than_a_row(self, monkeypatch):
+        # Blocks of 17 nodes on a 24-node row would let a block read the
+        # results of the block before last; none is shorter than a row.
+        monkeypatch.setattr(stencil, "BLOCK_NODES", 17)
+        setup = build_setup(SimulationConfig(shape="none"), 24)
+        assert len(setup.fits.blocks) > 1
+        assert np.diff(setup.fits.blocks).min() >= setup.grid.ny
+        assert_in_place_sweep_equals_new_arrays(setup)
 
 
 class TestEnforceBoundary:
@@ -218,6 +236,28 @@ class TestBfeccStep:
         assert len(st.fits.blocks) > 1 and len(st._comp_blocks) > 1
         assert_bfecc_is_the_sub_steps_written_out(ref.grid, ref.classes,
                                                   ref.fits, st)
+
+    def test_one_full_grid_allocation_per_step(self, monkeypatch):
+        # The forward sub-step's result arrays are the only full-grid
+        # allocation; the rest of the step overwrites them. Three sub-steps
+        # into new arrays would peak at six.
+        monkeypatch.setattr(stencil, "BLOCK_NODES", 2000)
+        grid, st = free_space_stepper(120)
+        assert len(st.fits.blocks) > 1
+        s = st.bfecc_step(plane_wave_state(grid), grid.dx)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = st.bfecc_step(s, grid.dx)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        block = 8 * max(hi - lo for lo, hi in st.fits.blocks)
+        assert peak <= 3 * grid.x.nbytes + 2 * block
+        for a in (out.hx, out.hy, out.ez):
+            for b in (s.hx, s.hy, s.ez):
+                assert not np.shares_memory(a, b)
 
     def test_boundary_conditions_after_every_step(self):
         grid, classes, fits, ls = circle_geometry(100)
@@ -395,3 +435,20 @@ def assert_bfecc_is_the_sub_steps_written_out(grid, classes, fits, st):
             assert np.array_equal(getattr(out, name), getattr(want, name))
             assert np.array_equal(getattr(state, name), getattr(given, name))
         state = out
+
+
+def assert_in_place_sweep_equals_new_arrays(setup):
+    """``sweep(s, dt, out=s)`` equals ``sweep(s, dt)`` bitwise on a random
+    state, and kept (ghost, deep-interior, ring) nodes keep their values."""
+    st, classes = setup.stepper, setup.classes
+    rng = np.random.default_rng(5)
+    s = FieldState(*(rng.normal(size=setup.grid.shape) for _ in range(3)), 0.2)
+    want = st.sweep(s, setup.dt)
+    given = FieldState(s.hx.copy(), s.hy.copy(), s.ez.copy(), s.time)
+    assert st.sweep(s, setup.dt, out=s) is s
+    assert s.time == want.time
+    keep = ((classes == NodeClass.GHOST) | (classes == NodeClass.DEEP_INTERIOR)
+            | ~setup.fits.valid)
+    for name in ("hx", "hy", "ez"):
+        assert np.array_equal(getattr(s, name), getattr(want, name))
+        assert np.array_equal(getattr(s, name)[keep], getattr(given, name)[keep])

@@ -198,6 +198,26 @@ class TestFitTable:
         u = np.random.default_rng(0).normal(size=g.shape)
         assert np.array_equal(fits.ddx(np.asfortranarray(u)), fits.ddx(u))
 
+    @pytest.mark.parametrize("block", [9, -1])
+    def test_block_out_of_range(self, block, monkeypatch):
+        monkeypatch.setattr(stencil, "BLOCK_NODES", 500)
+        g = build_uniform_grid(Domain(), 60, 60)
+        fits = FitTable.build(g)
+        assert len(fits.blocks) == 7
+        with pytest.raises(ValueError, match=rf"block {block} is out of range: "
+                                             r"the fit table has 7 blocks"):
+            fits.ddx(g.x, np.empty(500), block)
+
+    def test_block_out_must_have_the_block_length(self, monkeypatch):
+        monkeypatch.setattr(stencil, "BLOCK_NODES", 500)
+        g = build_uniform_grid(Domain(), 60, 60)
+        fits = FitTable.build(g)
+        lo, hi = fits.blocks[2]
+        with pytest.raises(ValueError, match=rf"out has shape \(500,\), block 2 "
+                                             rf"needs a flat array of length "
+                                             rf"{hi - lo}"):
+            fits.value(g.x, np.empty(500), 2)
+
     def test_no_operator_on_ring(self):
         g = build_uniform_grid(Domain(), 16, 16)
         fits = FitTable.build(g)
@@ -269,20 +289,37 @@ class TestWeightsAt:
 def assert_sequential_weighted_sum(grid, fits, row, name):
     """The apply equals sum_k w[k] * u[nbr[k]], added in (C, E, W, N, S)
     order, at every interior node, and zero on the ring; whole-grid calls
-    with and without ``out``."""
+    with and without ``out``. Bitwise, also for a ``u`` with signed zeros,
+    subnormals and +-1e308, where scaled terms overflow to +-inf and their
+    sums to NaN. The uniform stencil skips its zero weights, which only
+    shows in the sign of a zero sum: such a term is -0.0 here, the exact
+    additive identity."""
     rng = np.random.default_rng(row)
-    u = rng.normal(size=grid.shape)
+    normal = rng.normal(size=grid.shape)
+    edges = rng.normal(size=grid.shape)
+    extremes = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320, 1e308, -1e308]
+    picks = rng.random(grid.shape) < 0.3
+    edges[picks] = rng.choice(extremes, picks.sum())
     interior = np.flatnonzero(fits.valid)
     w = fits.weights_at(interior)[row]
     nbr = interior + neighbor_flat_offsets(grid.ny)[:, None]
-    total = w[0] * u.ravel()[nbr[0]]
-    for k in range(1, 5):
-        total = total + w[k] * u.ravel()[nbr[k]]
-    want = np.zeros(grid.shape)
-    want.ravel()[interior] = total
-
+    skipped = (w == 0) & ~np.isin(interior, fits.band)
     apply = getattr(fits, name)
-    assert np.array_equal(apply(u), want)
-    out = rng.normal(size=grid.shape)
-    assert apply(u, out) is out
-    assert np.array_equal(out, want)
+    for u in (normal, edges):
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = w * u.ravel()[nbr]
+            terms[skipped] = -0.0
+            total = terms[0]
+            for k in range(1, 5):
+                total = total + terms[k]
+            want = np.zeros(grid.shape)
+            want.ravel()[interior] = total
+
+            assert_bitwise_equal(apply(u), want)
+            out = rng.normal(size=grid.shape)
+            assert apply(u, out) is out
+        assert_bitwise_equal(out, want)
+
+
+def assert_bitwise_equal(got, want):
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
