@@ -1,5 +1,5 @@
 """Command-line interface: run simulations, convergence studies, and
-level-set diagnostics from a config file."""
+free-space order checks from a config file."""
 
 from __future__ import annotations
 
@@ -10,13 +10,9 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import convergence_study, freespace_study, observed_orders
 from .config import ConfigError, load_config
 from .export import export_field, export_grid, export_vtk
-from .grid import NodeClass
-from .levelset import gradient_with_edges
 from .solver import build_setup
 
 logger = logging.getLogger("pecshift")
@@ -35,7 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, desc in (
             ("run", "single simulation with optional snapshots"),
             ("convergence", "grid-refinement study against a reference run"),
-            ("redistance", "||grad phi|| check of the exact signed distance"),
             ("freespace", "plane-wave order check without a PEC")):
         p = sub.add_parser(name, help=desc)
         p.add_argument("config", help="path to the key=value config file")
@@ -82,31 +77,6 @@ def _cmd_convergence(cfg, out: Path) -> int:
     return 0
 
 
-def _cmd_redistance(cfg, out: Path) -> int:
-    setup = build_setup(cfg, cfg.grid_size)
-    if setup.ls is None:
-        print("error: redistance diagnostics need a shape", file=sys.stderr)
-        return 1
-    grid, ls = setup.grid, setup.ls
-    gx, gy = gradient_with_edges(ls.phi, grid, setup.fits)
-    norm = np.hypot(gx, gy)
-    band = np.abs(ls.phi) <= 5 * max(grid.dx, grid.dy)
-    band &= setup.fits.valid
-    dev = np.abs(norm[band] - 1.0)
-    print(f"band nodes (|phi| <= 5 dx): {int(band.sum())}")
-    print(f"max | ||grad phi|| - 1 | in band: {dev.max():.6f}")
-    print(f"mean | ||grad phi|| - 1 | in band: {dev.mean():.6f}")
-    hist, edges = np.histogram(norm[band], bins=12)
-    print("||grad phi|| histogram (band):")
-    for count, lo, hi in zip(hist, edges[:-1], edges[1:]):
-        bar = "#" * int(round(40 * count / max(1, hist.max())))
-        print(f"  [{lo:7.4f}, {hi:7.4f}) {count:7d} {bar}")
-    counts = {c.name.lower(): int((setup.classes == c).sum()) for c in NodeClass}
-    print(f"node classes: {counts}")
-    export_grid(grid, setup.classes, out / "grid.csv")
-    return 0
-
-
 def _cmd_freespace(cfg, out: Path) -> int:
     configs = [dataclasses.replace(cfg, shape="none", scheme=scheme).validate()
                for scheme in ("plain", "bfecc")]
@@ -141,8 +111,6 @@ def main(argv=None) -> int:
             return _cmd_run(cfg, out)
         if args.command == "convergence":
             return _cmd_convergence(cfg, out)
-        if args.command == "redistance":
-            return _cmd_redistance(cfg, out)
         if args.command == "freespace":
             return _cmd_freespace(cfg, out)
         print(f"error: unknown command {args.command!r}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Ghost point extension across the PEC boundary.
 
 The field just inside the PEC is reconstructed from outside data: H is
-decomposed into normal/tangential components, the boundary traces and
+decomposed into components along the level set's unit normal n and the
+tangent t = (n_y, -n_x) derived from it, the boundary traces and
 normal derivatives are extended inward along the normal, and one-layer
 ghost values are assembled from two-term Taylor expansions. H.n and E
 are odd across the wall (zero trace), H.t is even.
@@ -27,15 +28,17 @@ from .stencil import FitTable, neighbor_flat_offsets
 
 
 def decompose(hx: np.ndarray, hy: np.ndarray, ls: LevelSetData):
-    """Split H into (H.n, H.t) using the local unit frame."""
+    """Split H into (H.n, H.t) by the local unit normal n, with the
+    clockwise tangent t = (n_y, -n_x)."""
     h_perp = hx * ls.normal_x + hy * ls.normal_y
-    h_par = hx * ls.tangent_x + hy * ls.tangent_y
+    h_par = hx * ls.normal_y - hy * ls.normal_x
     return h_perp, h_par
 
 
 def recompose(h_perp: np.ndarray, h_par: np.ndarray, ls: LevelSetData):
-    hx = h_perp * ls.normal_x + h_par * ls.tangent_x
-    hy = h_perp * ls.normal_y + h_par * ls.tangent_y
+    """Inverse of :func:`decompose`: H = H.n n + H.t t."""
+    hx = h_perp * ls.normal_x + h_par * ls.normal_y
+    hy = h_perp * ls.normal_y - h_par * ls.normal_x
     return hx, hy
 
 
@@ -104,7 +107,7 @@ class GhostExtender:
         g = np.flatnonzero(classes == NodeClass.GHOST)
         self.ghost_flat = g
         self.ghost = LevelSetData(*(_flat(a)[g] for a in (
-            ls.phi, ls.normal_x, ls.normal_y, ls.tangent_x, ls.tangent_y)))
+            ls.phi, ls.normal_x, ls.normal_y)))
 
         value_src, self.value_w = _causal_rows(g, grid, ls.phi, ls.phi <= 0.0)
         dn_src, self.dn_w = _causal_rows(g, grid, ls.phi, ls.phi < 0.0)
@@ -128,7 +131,7 @@ class GhostExtender:
         self.value_idx = np.searchsorted(self.nodes, value_src)
         self.dn_nbr = np.searchsorted(self.nodes, stencil)
         self.frame = LevelSetData(*(_flat(a)[self.nodes] for a in (
-            ls.phi, ls.normal_x, ls.normal_y, ls.tangent_x, ls.tangent_y)))
+            ls.phi, ls.normal_x, ls.normal_y)))
         self.on_boundary = _flat(classes)[self.nodes] == NodeClass.BOUNDARY
 
     def normal_derivatives(self, q: np.ndarray) -> np.ndarray:

@@ -138,9 +138,9 @@ def apply_point_shift(grid: GridTopology, intersections: np.ndarray) -> GridTopo
     return new
 
 
-def neighbor_or(mask: np.ndarray, fill: bool = False) -> np.ndarray:
-    """True where any E/W/N/S neighbor is True (edge neighbors -> fill)."""
-    out = np.full(mask.shape, fill, dtype=bool)
+def neighbor_or(mask: np.ndarray) -> np.ndarray:
+    """True where any E/W/N/S neighbor is True (none beyond the edges)."""
+    out = np.zeros(mask.shape, dtype=bool)
     out[:-1, :] |= mask[1:, :]
     out[1:, :] |= mask[:-1, :]
     out[:, :-1] |= mask[:, 1:]

@@ -1,12 +1,13 @@
-"""Signed distance function to the PEC boundary, with normals and tangents.
+"""Signed distance function to the PEC boundary, with unit normals.
 
 phi is positive inside the PEC object and exactly zero at shifted
 (boundary) nodes. Every boundary is made of arcs of the shape's circles
 meeting at its corners, so phi and its unit gradient come in closed form
 from the nearest of these features. Normals point along grad(phi), i.e.
-into the PEC, and tangents are normals rotated clockwise by pi/2. The
-frame is exact within FRAME_BAND h of the wall (h = max(dx, dy)) and zero
-elsewhere; the PEC trace and the ghost extension read it within 2.5 h.
+into the PEC; the tangent is derived where needed as the normal rotated
+clockwise by pi/2, t = (n_y, -n_x), and not stored. The normal is exact
+within FRAME_BAND h of the wall (h = max(dx, dy)) and zero elsewhere; the
+PEC trace and the ghost extension read it within 2.5 h.
 """
 
 from __future__ import annotations
@@ -25,14 +26,12 @@ FRAME_BAND = 3.0
 
 @dataclass
 class LevelSetData:
-    """Signed distance and unit frame per node (tangent = normal rotated
-    clockwise: t = (n_y, -n_x)); the frame is zero beyond FRAME_BAND h."""
+    """Signed distance and unit normal per node; the normal is zero beyond
+    FRAME_BAND h. The tangent t = (n_y, -n_x) is derived, not stored."""
 
     phi: np.ndarray
     normal_x: np.ndarray
     normal_y: np.ndarray
-    tangent_x: np.ndarray
-    tangent_y: np.ndarray
 
 
 def gradient_with_edges(phi: np.ndarray, grid: GridTopology, fits: FitTable):
@@ -102,9 +101,9 @@ def redistance(shape: Shape, grid: GridTopology,
 
 def compute_normals_tangents(shape: Shape, phi: np.ndarray,
                              grid: GridTopology):
-    """Unit normal n = grad(phi) from each node's nearest feature, and the
-    clockwise tangent t = (n_y, -n_x), where |phi| <= FRAME_BAND h; zero
-    elsewhere.
+    """Unit normal ``(n_x, n_y)`` = grad(phi) from each node's nearest
+    feature where |phi| <= FRAME_BAND h; zero elsewhere. The clockwise
+    tangent t = (n_y, -n_x) is derived from it by its readers.
 
     ``circles[0]`` encloses the shape, so n = -(x - c)/rho on its arc;
     the other circles are cut out, so n = +(x - c)/rho on theirs. Near a
@@ -123,10 +122,10 @@ def compute_normals_tangents(shape: Shape, phi: np.ndarray,
     sign[corner] = np.sign(shape.level(x[corner], y[corner]))
     nx_, ny_ = np.zeros(grid.shape), np.zeros(grid.shape)
     nx_[band], ny_[band] = sign * ex / d, sign * ey / d
-    return nx_, ny_, ny_.copy(), -nx_
+    return nx_, ny_
 
 
 def build_levelset(shape: Shape, phi: np.ndarray,
                    grid: GridTopology) -> LevelSetData:
-    """Bundle ``phi`` (see :func:`redistance`) with its unit frame."""
+    """Bundle ``phi`` (see :func:`redistance`) with its unit normal."""
     return LevelSetData(phi, *compute_normals_tangents(shape, phi, grid))

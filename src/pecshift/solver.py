@@ -5,12 +5,15 @@ derivatives by fitted gradients (a central-difference / Lax-Friedrichs
 hybrid, first order by itself). BFECC runs it forward, backward in time,
 and forward again with the compensated state, lifting the order to two
 and relaxing the CFL bound. Ghost values are regenerated before every
-sweep; the outer ring follows the analytic incident wave, valid while the
-scattered field cannot yet have reached the domain edge.
+sweep. The initial state and the outer ring come from one boundary-data
+callable ``boundary_data(x, y, t) -> (hx, hy, ez)``; ``build_setup`` uses
+the analytic incident wave, valid while the scattered field cannot yet
+have reached the domain edge.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -61,22 +64,29 @@ def incident_wave(x, y, t: float, omega: float):
 
 
 class MaxwellStepper:
-    """Sweeps, boundary enforcement, and the BFECC driver for one geometry."""
+    """Sweeps, boundary enforcement, and the BFECC driver for one geometry.
+
+    ``boundary_data(x, y, t)`` returns new ``(hx, hy, ez)`` arrays of the
+    shape of ``x``: the field at points ``(x, y)`` and time ``t``. It gives
+    the initial state and the outer ring; pass a module-level function or
+    a ``functools.partial`` of one if the stepper is to be pickled.
+    """
 
     def __init__(self, grid: GridTopology, classes: np.ndarray,
-                 fits: FitTable, omega: float,
+                 fits: FitTable, boundary_data: Callable[..., tuple],
                  extender: Optional[GhostExtender] = None):
         self.grid = grid
         self.fits = fits
         self.extender = extender
-        self.omega = omega
+        self.boundary_data = boundary_data
 
         inside = (classes == NodeClass.GHOST) | (classes == NodeClass.DEEP_INTERIOR)
         self._inside_flat = np.flatnonzero(inside)
         # The ring is the complement of the fit table's interior.
         self._ring_flat = np.flatnonzero(~fits.valid)
         self._keep_flat = np.flatnonzero(inside | ~fits.valid)
-        self._ring_x = grid.x.ravel()[self._ring_flat].copy()
+        self._ring_x = grid.x.ravel()[self._ring_flat]
+        self._ring_y = grid.y.ravel()[self._ring_flat]
         self._bnd_flat = np.flatnonzero(classes == NodeClass.BOUNDARY)
         if extender is not None:
             self._bnd_nx = extender.ls.normal_x.ravel()[self._bnd_flat].copy()
@@ -174,12 +184,11 @@ class MaxwellStepper:
         return state
 
     def apply_outer_boundary(self, state: FieldState) -> FieldState:
-        """Overwrite the outermost ring with the incident wave at the
+        """Overwrite the outermost ring with the boundary data at the
         state's current time (the only nodes without a full stencil)."""
-        ihx, ihy, iez = incident_wave(self._ring_x, None, state.time, self.omega)
-        state.hx.reshape(-1)[self._ring_flat] = ihx
-        state.hy.reshape(-1)[self._ring_flat] = ihy
-        state.ez.reshape(-1)[self._ring_flat] = iez
+        values = self.boundary_data(self._ring_x, self._ring_y, state.time)
+        for arr, v in zip((state.hx, state.hy, state.ez), values):
+            arr.reshape(-1)[self._ring_flat] = v
         return state
 
     def _substep(self, state: FieldState, dt: float,
@@ -198,7 +207,7 @@ class MaxwellStepper:
         """Forward, backward, compensate, forward; ghosts regenerated and
         the PEC trace enforced before every sweep.
 
-        The outer ring is set to the incident wave after every sub-sweep,
+        The outer ring is set to the boundary data after every sub-sweep,
         at that sub-sweep's time (t+dt, t, t+dt), so each sub-step is a
         full step of the underlying scheme, boundary data included. Ring
         data thereby reaches 2 rows inward per step.
@@ -229,9 +238,9 @@ class MaxwellStepper:
         return self.enforce_boundary(self._substep(state, dt))
 
     def initial_state(self) -> FieldState:
-        """Incident wave at exterior/boundary nodes, zero inside the PEC,
-        with the PEC trace enforced."""
-        hx, hy, ez = incident_wave(self.grid.x, self.grid.y, 0.0, self.omega)
+        """Boundary data at t = 0 on exterior/boundary nodes, zero inside
+        the PEC, with the PEC trace enforced."""
+        hx, hy, ez = self.boundary_data(self.grid.x, self.grid.y, 0.0)
         for arr in (hx, hy, ez):
             arr.reshape(-1)[self._inside_flat] = 0.0
         state = FieldState(hx, hy, ez, 0.0)
@@ -299,7 +308,8 @@ def build_setup(config, n: int) -> SimulationSetup:
         classes = lattice.classify_nodes(grid, phi)
         ls = levelset.build_levelset(shape, phi, grid)
         extender = GhostExtender(grid, ls, classes, fits)
-    stepper = MaxwellStepper(grid, classes, fits, omega=config.omega,
+    stepper = MaxwellStepper(grid, classes, fits,
+                             functools.partial(incident_wave, omega=config.omega),
                              extender=extender)
     return SimulationSetup(grid=grid, classes=classes, fits=fits, ls=ls,
                            stepper=stepper, dt=config.cfl * grid.dx)

@@ -47,8 +47,7 @@ def planar_geometry(n: int):
     classes = classify_nodes(grid, phi)
     one = np.ones(grid.shape)
     zero = np.zeros(grid.shape)
-    ls = LevelSetData(phi=phi, normal_x=one, normal_y=zero,
-                      tangent_x=zero.copy(), tangent_y=-one)
+    ls = LevelSetData(phi=phi, normal_x=one, normal_y=zero)
     fits = FitTable.build(grid)
     ghosts = classes == NodeClass.GHOST
     ghosts[:, :PLANAR_RING_MARGIN] = False

@@ -27,12 +27,6 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "unknown key 'bogus'" in capsys.readouterr().err
 
 
-def test_redistance_without_shape_exits_1(tmp_path, capsys):
-    config = write_config(tmp_path, "shape = none\ngrid_size = 16\n")
-    assert run_cli(tmp_path, "redistance", config) == 1
-    assert "need a shape" in capsys.readouterr().err
-
-
 def test_run_writes_results_and_snapshots(tmp_path):
     # dt = 0.25 * 10/29: three steps to T = 0.2, the last one shortened
     config = write_config(tmp_path, "grid_size = 30\nfinal_time = 0.2\n"
@@ -100,11 +94,3 @@ def test_convergence_in_a_worker_pool_writes_the_table(tmp_path, capsys):
     out = tmp_path / "out"
     assert sorted(p.name for p in out.iterdir()) == ["convergence.csv",
                                                      "convergence.txt"]
-
-
-def test_redistance_reports_and_writes_the_grid(tmp_path, capsys):
-    config = write_config(tmp_path, "grid_size = 40\n")
-    assert run_cli(tmp_path, "redistance", config) == 0
-    assert "node classes" in capsys.readouterr().out
-    rows = (tmp_path / "out" / "grid.csv").read_text().splitlines()
-    assert len(rows) == 1 + 40 * 40

@@ -8,23 +8,16 @@ from pecshift.levelset import LevelSetData
 from conftest import CIRCLE, circle_geometry, planar_geometry
 
 
-def frame(nx_, ny_):
-    """LevelSetData-style frame arrays from a constant normal."""
-    return nx_, ny_, ny_, -nx_  # t = (n_y, -n_x)
-
-
 class TestDecompose:
     def test_axis_aligned(self):
-        ls = LevelSetData(None, np.array(1.0), np.array(0.0),
-                          np.array(0.0), np.array(-1.0))
+        ls = LevelSetData(None, np.array(1.0), np.array(0.0))
         hp, hpar = decompose(np.array(1.0), np.array(0.0), ls)
         assert (hp, hpar) == (1.0, 0.0)
         hp, hpar = decompose(np.array(0.0), np.array(1.0), ls)
         assert (hp, hpar) == (0.0, -1.0)
 
     def test_oblique(self):
-        ls = LevelSetData(None, np.array(0.6), np.array(0.8),
-                          np.array(0.8), np.array(-0.6))
+        ls = LevelSetData(None, np.array(0.6), np.array(0.8))
         hp, hpar = decompose(np.array(3.0), np.array(4.0), ls)
         assert hp == pytest.approx(5.0, abs=1e-15)
         assert hpar == pytest.approx(0.0, abs=1e-15)
@@ -33,7 +26,7 @@ class TestDecompose:
         rng = np.random.default_rng(11)
         theta = rng.uniform(0, 2 * np.pi, size=(40, 40))
         nx_, ny_ = np.cos(theta), np.sin(theta)
-        ls = LevelSetData(None, nx_, ny_, ny_.copy(), -nx_)
+        ls = LevelSetData(None, nx_, ny_)
         hx = rng.normal(size=theta.shape)
         hy = rng.normal(size=theta.shape)
         hx2, hy2 = recompose(*decompose(hx, hy, ls), ls)
@@ -65,7 +58,7 @@ class TestNormalDerivatives:
         grid, classes, fits, planar, *_ = planar_101
         nx_ = np.full(grid.shape, 0.6)
         ny_ = np.full(grid.shape, 0.8)
-        ls = LevelSetData(planar.phi, nx_, ny_, ny_.copy(), -nx_)
+        ls = LevelSetData(planar.phi, nx_, ny_)
         src, dn = source_derivatives(GhostExtender(grid, ls, classes, fits),
                                      grid.x)
         fitted = fits.valid.ravel()[src]
@@ -114,8 +107,7 @@ class TestCausalRows:
         phi = planar.phi.copy()
         i, j = np.argwhere(classes == NodeClass.GHOST)[30]
         phi[i - 1, j] = phi[i, j]  # level with the wall: nothing upwind
-        ls = LevelSetData(phi, planar.normal_x, planar.normal_y,
-                          planar.tangent_x, planar.tangent_y)
+        ls = LevelSetData(phi, planar.normal_x, planar.normal_y)
         with pytest.raises(GridError, match=rf"node \({i}, {j}\)"):
             GhostExtender(grid, ls, classes, fits)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pecshift.config import SimulationConfig
+from pecshift.extension import decompose
 from pecshift.grid import (NodeClass, apply_point_shift, build_uniform_grid,
                            classify_nodes)
 from pecshift.levelset import (FRAME_BAND, build_levelset, gradient_with_edges,
@@ -215,8 +216,6 @@ class TestNormalsTangents:
         j3 = np.argmin(np.abs(grid.lattice_y() - 3.0))
         assert ls.normal_x[i5, j3] == pytest.approx(0.0, abs=0.02)
         assert ls.normal_y[i5, j3] == pytest.approx(1.0, abs=0.02)
-        assert ls.tangent_x[i5, j3] == pytest.approx(1.0, abs=0.02)
-        assert ls.tangent_y[i5, j3] == pytest.approx(0.0, abs=0.02)
 
     def test_diagonal_direction(self):
         grid, classes, fits, ls = circle_geometry(200)
@@ -226,20 +225,17 @@ class TestNormalsTangents:
         assert ls.normal_x[i, j] == pytest.approx(-s, abs=0.02)
         assert ls.normal_y[i, j] == pytest.approx(-s, abs=0.02)
 
-    def test_clockwise_rotation_everywhere(self):
-        grid, classes, fits, ls = circle_geometry(100)
-        np.testing.assert_array_equal(ls.tangent_x, ls.normal_y)
-        np.testing.assert_array_equal(ls.tangent_y, -ls.normal_x)
-
     def test_unit_and_orthogonal(self):
+        # n and the derived tangent t = (n_y, -n_x) split H = n into
+        # (1, 0) and H = t into (0, 1)
         grid, classes, fits, ls = circle_geometry(100)
         band = frame_band(grid, ls.phi)
         nn = np.hypot(ls.normal_x, ls.normal_y)[band]
-        tt = np.hypot(ls.tangent_x, ls.tangent_y)[band]
         assert np.abs(nn - 1).max() <= 1e-12
-        assert np.abs(tt - 1).max() <= 1e-12
-        dot = ls.normal_x * ls.tangent_x + ls.normal_y * ls.tangent_y
-        assert np.abs(dot).max() <= 1e-12
+        for h, want in (((ls.normal_x, ls.normal_y), (1.0, 0.0)),
+                        ((ls.normal_y, -ls.normal_x), (0.0, 1.0))):
+            for got, w in zip(decompose(*h, ls), want):
+                assert np.abs(got[band] - w).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [100, 200])
     def test_circle_band_normals_are_radial(self, n):

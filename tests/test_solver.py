@@ -1,3 +1,4 @@
+import functools
 import pickle
 import tracemalloc
 
@@ -16,19 +17,20 @@ from pecshift.stencil import STENCIL_OFFSETS, FitTable
 from conftest import circle_geometry
 
 OMEGA = 2 * np.pi / 0.6
+PLANE_WAVE = functools.partial(incident_wave, omega=OMEGA)
 
 
 def free_space_stepper(n=40):
     grid = build_uniform_grid(Domain(), n, n)
     fits = FitTable.build(grid)
     classes = np.zeros(grid.shape, dtype=np.int8)
-    return grid, MaxwellStepper(grid, classes, fits, omega=OMEGA)
+    return grid, MaxwellStepper(grid, classes, fits, PLANE_WAVE)
 
 
 def circle_stepper(n=100):
     grid, classes, fits, ls = circle_geometry(n)
     ext = GhostExtender(grid, ls, classes, fits)
-    return MaxwellStepper(grid, classes, fits, omega=OMEGA, extender=ext)
+    return MaxwellStepper(grid, classes, fits, PLANE_WAVE, extender=ext)
 
 
 def plane_wave_state(grid, t=0.0):
@@ -136,8 +138,8 @@ class TestEnforceBoundary:
 
     def test_tangential_field_intact(self, circle_stepper):
         grid, classes, ls, st = circle_stepper
-        # pure tangential H survives enforcement
-        s = FieldState(ls.tangent_x * 3.0, ls.tangent_y * 3.0,
+        # pure tangential H, along t = (n_y, -n_x), survives enforcement
+        s = FieldState(ls.normal_y * 3.0, -ls.normal_x * 3.0,
                        np.zeros(grid.shape), 0.0)
         hx0 = s.hx.copy()
         st.enforce_boundary(s)
@@ -147,7 +149,7 @@ class TestEnforceBoundary:
     def test_boundary_nodes_need_an_extender(self):
         grid, classes, fits, ls = circle_geometry(100)
         with pytest.raises(ValueError, match="no ghost extender"):
-            MaxwellStepper(grid, classes, fits, omega=OMEGA)
+            MaxwellStepper(grid, classes, fits, PLANE_WAVE)
 
     def test_projection_examples(self):
         # H=(2,0), n=(1,0) -> 0; H=(0,3) -> unchanged; H=(1,1), n=diag -> 0

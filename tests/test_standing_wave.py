@@ -7,17 +7,21 @@ standing wave
 the TMz equations for all t, with Ez = 0 and H.n = 0 on r = R. It needs
 no reference run. At wavelength 2 the grids 100, 200 and 400 resolve it
 with 20, 40 and 80 points per wavelength, inside the asymptotic regime.
+The same field checks the ghost extension alone, from exact data at
+every node.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from scipy.special import j0, j1, y0, y1
 
 from pecshift.config import SimulationConfig
+from pecshift.extension import decompose
 from pecshift.grid import NodeClass
-from pecshift.solver import FieldState, MaxwellStepper, build_setup
+from pecshift.solver import MaxwellStepper, build_setup
 
 K = np.pi          # k = omega, wavelength 2
 R = 2.0
@@ -37,39 +41,14 @@ def standing_wave(x, y, t, radius=R):
     return -df_dr * dy / r * s, df_dr * dx / r * s, f * np.cos(K * t)
 
 
-class StandingWaveStepper(MaxwellStepper):
-    """Ring and initial state from the exact standing wave."""
-
-    def __init__(self, *args, radius=R, **kwargs):
-        self.radius = radius
-        super().__init__(*args, **kwargs)
-
-    def apply_outer_boundary(self, state):
-        ring = self._ring_flat
-        exact = standing_wave(self.grid.x.ravel()[ring],
-                              self.grid.y.ravel()[ring], state.time,
-                              self.radius)
-        for arr, values in zip((state.hx, state.hy, state.ez), exact):
-            arr.reshape(-1)[ring] = values
-        return state
-
-    def initial_state(self):
-        hx, hy, ez = standing_wave(self.grid.x, self.grid.y, 0.0,
-                                   self.radius)
-        for arr in (hx, hy, ez):
-            arr.reshape(-1)[self._inside_flat] = 0.0
-        return self.enforce_boundary(FieldState(hx, hy, ez, 0.0))
-
-
 def wall_errors(n, radius=R):
     """(Ez L1, Hx L1, Ez max) at T over exterior and boundary nodes with
     phi >= -NEAR_WALL."""
     config = dataclasses.replace(CONFIG, circle_radius=radius)
     setup = build_setup(config, n)
-    stepper = StandingWaveStepper(setup.grid, setup.classes, setup.fits,
-                                  omega=config.omega,
-                                  extender=setup.stepper.extender,
-                                  radius=radius)
+    stepper = MaxwellStepper(setup.grid, setup.classes, setup.fits,
+                             functools.partial(standing_wave, radius=radius),
+                             extender=setup.stepper.extender)
     state = stepper.run(config.final_time, setup.dt)
     outside = np.isin(setup.classes, (NodeClass.EXTERIOR, NodeClass.BOUNDARY))
     mask = outside & (setup.ls.phi >= -NEAR_WALL)
@@ -104,3 +83,37 @@ def test_second_order_next_to_a_unit_circle():
     errors = np.array([wall_errors(n, radius=1.0) for n in (100, 200, 400)])
     orders = np.log2(errors[:-1, :2] / errors[1:, :2])
     assert (orders >= 1.8).all(), orders
+
+
+def ghost_errors(n, t=0.3):
+    """Largest (Ez, H.t) error at the ghost nodes after one
+    ``extend_fields`` of the exact field at time t on every node."""
+    setup = build_setup(CONFIG, n)
+    extender = setup.stepper.extender
+    exact = standing_wave(setup.grid.x, setup.grid.y, t)
+    hx, hy, ez = (a.copy() for a in exact)
+    extender.extend_fields(hx, hy, ez)
+    g = extender.ghost_flat
+    err_hx, err_hy, err_ez = (got.ravel()[g] - want.ravel()[g]
+                              for got, want in zip((hx, hy, ez), exact))
+    _, err_par = decompose(err_hx, err_hy, extender.ghost)
+    return np.abs(err_ez).max(), np.abs(err_par).max()
+
+
+@pytest.fixture(scope="module")
+def ghost_orders():
+    """Orders over 100 -> 200 -> 400; rows are intervals, columns Ez, H.t.
+    Set-up only: no march. H.n is not checked: this field's H is purely
+    tangential, so its H.n ghost error is at roundoff."""
+    errors = np.array([ghost_errors(n) for n in (100, 200, 400)])
+    return np.log2(errors[:-1] / errors[1:])
+
+
+def test_ghost_ez_second_order(ghost_orders):
+    assert (ghost_orders[:, 0] >= 1.8).all(), ghost_orders
+
+
+@pytest.mark.xfail(strict=True, reason="H.t mirrored into the ghost, first-"
+                   "order on a curved wall: ROADMAP item 1")
+def test_ghost_tangential_h_second_order(ghost_orders):
+    assert (ghost_orders[:, 1] >= 1.8).all(), ghost_orders
