@@ -71,7 +71,8 @@ def _causal_rows(targets: np.ndarray, grid: GridTopology, phi: np.ndarray,
             up = list(upwind(i, j))
             if not up:
                 raise GridError(f"node ({i}, {j}) has no upwind neighbour "
-                                "to extend from")
+                                "to extend from; geometry too thin to extend "
+                                "into at this resolution")
             total = sum(w for _, w in up)
             row: dict = {}
             for q, w in up:
@@ -99,6 +100,11 @@ class GhostExtender:
     normal derivatives ``n_x c0 + n_y c1`` of H.n, H.t and Ez, evaluated
     at those sources only. :meth:`extend_fields` is then one
     gather-multiply-sum per quantity plus the Taylor assembly.
+
+    On the point-shifted grids of the shapes here, every node the
+    extension reads (:attr:`nodes`) is an exterior or boundary node, so
+    ghost values depend on no inside value, and whatever the inside
+    nodes held before :meth:`extend_fields` reaches no outside value.
     """
 
     def __init__(self, grid: GridTopology, ls: LevelSetData,

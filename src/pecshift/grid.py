@@ -151,23 +151,15 @@ def neighbor_or(mask: np.ndarray) -> np.ndarray:
 def classify_nodes(grid: GridTopology, phi: np.ndarray) -> np.ndarray:
     """Per-node classification from the shifted flags and the sign of phi.
 
-    Raises if some ghost node has no exterior node within two lattice hops:
-    its extension would have no exterior data to extend from.
+    Whether the ghosts can be extended into is checked by the extension
+    itself (``GhostExtender`` raises ``GridError`` naming a ghost with no
+    upwind data), not here.
     """
     boundary = grid.shifted
     inside = (phi > 0) & ~boundary
-    exterior = ~inside & ~boundary
 
     ghost = inside & neighbor_or(~inside)
     deep = inside & ~ghost
-
-    ext2 = neighbor_or(neighbor_or(exterior))
-    orphans = ghost & ~ext2
-    if orphans.any():
-        i, j = np.argwhere(orphans)[0]
-        raise GridError(
-            f"ghost node ({i}, {j}) has no exterior node within two hops; "
-            "geometry too thin to extend into at this resolution")
 
     classes = np.full(grid.shape, NodeClass.EXTERIOR, dtype=np.int8)
     classes[boundary] = NodeClass.BOUNDARY

@@ -24,7 +24,7 @@ from . import grid as lattice, levelset, shapes
 from .extension import GhostExtender
 from .grid import GridTopology, NodeClass
 from .levelset import LevelSetData
-from .stencil import FitTable, split_blocks
+from .stencil import FitTable
 
 logger = logging.getLogger(__name__)
 
@@ -93,15 +93,8 @@ class MaxwellStepper:
             self._bnd_ny = extender.ls.normal_y.ravel()[self._bnd_flat].copy()
         elif self._bnd_flat.size:
             raise ValueError("boundary nodes present but no ghost extender")
-        # BFECC's compensation runs over blocks of all flat nodes, each with
-        # the positions of its inside nodes.
-        comp = split_blocks(0, grid.x.size)
-        cuts = np.searchsorted(self._inside_flat, [lo for lo, _ in comp[1:]])
-        self._comp_blocks = [(lo, hi, ins - lo) for (lo, hi), ins in
-                             zip(comp, np.split(self._inside_flat, cuts))]
-        # One derivative term of a sweep's block, or a block of BFECC's
-        # correction.
-        self._work = np.empty(max(hi - lo for lo, hi in comp + fits.blocks))
+        # One derivative term of a sweep's block.
+        self._work = np.empty(max(hi - lo for lo, hi in fits.blocks))
         # Two block-sized staging sets (hx, hy, ez) for a sweep's results.
         self._stage = np.empty((2, 3, max(hi - lo for lo, hi in fits.blocks)))
 
@@ -216,20 +209,21 @@ class MaxwellStepper:
         full-grid allocation; the backward sub-step, the compensation and
         the last forward sub-step all overwrite those arrays, which are
         returned. So ``state`` is changed only by its PEC trace and
-        ghosts, and no two returned states share memory. The compensated
-        state ``u + 0.5 (u - back)``, with the correction zeroed at inside
-        nodes, is formed block by block in a block-sized buffer, with the
-        same operations per node as over the whole grid."""
+        ghosts, and no two returned states share memory.
+
+        The compensated state ``u + 0.5 (u - back)`` is formed over whole
+        arrays, inside nodes included, and needs no mask there: the
+        ghost extension reads only exterior and boundary nodes and
+        rewrites every ghost before the last sweep reads it, and no
+        sub-step writes a deep-interior node, so those are equal in ``u``
+        and ``back`` and keep their value."""
         fwd = self._substep(state, dt)
         back = self._substep(fwd, -dt, fwd)
-        for u, ub in ((state.hx, back.hx), (state.hy, back.hy),
-                      (state.ez, back.ez)):
-            uf, bf = u.reshape(-1), ub.reshape(-1)
-            for lo, hi, inside in self._comp_blocks:
-                err = np.subtract(uf[lo:hi], bf[lo:hi], out=self._work[:hi - lo])
-                err *= 0.5
-                err[inside] = 0.0
-                np.add(uf[lo:hi], err, out=bf[lo:hi])
+        for u, b in ((state.hx, back.hx), (state.hy, back.hy),
+                     (state.ez, back.ez)):
+            np.subtract(u, b, out=b)
+            b *= 0.5
+            b += u
         back.time = state.time
         return self.enforce_boundary(self._substep(back, dt, back))
 
@@ -249,6 +243,11 @@ class MaxwellStepper:
     def run(self, final_time: float, dt: float, scheme: str = "bfecc",
             on_step: Optional[Callable[[FieldState, int], None]] = None) -> FieldState:
         """March from t=0 to exactly final_time (last step shortened)."""
+        if not dt > 0:
+            raise ValueError(f"dt must be positive, got {dt!r}")
+        if not 0 <= final_time < np.inf:
+            raise ValueError(f"final_time must be finite and non-negative, "
+                             f"got {final_time!r}")
         if scheme == "bfecc":
             advance = self.bfecc_step
         elif scheme == "plain":

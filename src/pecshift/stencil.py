@@ -235,7 +235,7 @@ class FitTable:
         return w.reshape((3, 5) + shape)
 
 
-def split_blocks(lo: int, hi: int, min_len: int = 1) -> list:
+def split_blocks(lo: int, hi: int, min_len: int) -> list:
     """``[lo, hi)`` cut evenly into the fewest ``(start, stop)`` pieces of
     at most ``BLOCK_NODES`` nodes, but into no piece shorter than
     ``min_len`` when there is more than one: at most ``(hi - lo) //

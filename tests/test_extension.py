@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from pecshift.config import SimulationConfig
 from pecshift.extension import GhostExtender, decompose, recompose
 from pecshift.grid import GridError, NodeClass
 from pecshift.levelset import LevelSetData
+from pecshift.solver import build_setup
 
 from conftest import CIRCLE, circle_geometry, planar_geometry
 
@@ -92,6 +94,15 @@ class TestCausalRows:
         assert (phi[ext.nodes[ext.value_idx]] <= 0.0).all()
         src, _ = source_derivatives(ext, np.zeros(phi.shape))
         assert (phi[src[ext.dn_idx]] < 0.0).all()
+
+    @pytest.mark.parametrize("n", [60, 100, 200, 201, 401])
+    @pytest.mark.parametrize("shape", ["circle", "half_moon"])
+    def test_reads_only_exterior_and_boundary_nodes(self, shape, n):
+        # BFECC's compensation leaves inside nodes unmasked on this: the
+        # extension rewrites every ghost before a sweep reads it.
+        setup = build_setup(SimulationConfig(shape=shape), n)
+        read = setup.classes.ravel()[setup.stepper.extender.nodes]
+        assert set(read) <= {NodeClass.EXTERIOR, NodeClass.BOUNDARY}
 
     def test_constant_field_unchanged(self, planar_101, planar_extender_101):
         grid, *_ = planar_101

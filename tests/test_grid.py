@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from pecshift.extension import GhostExtender
 from pecshift.grid import (GridError, NodeClass, UnderResolvedGeometryWarning,
                            apply_point_shift, build_uniform_grid,
                            classify_nodes)
+from pecshift.levelset import LevelSetData
 from pecshift.shapes import Circle, Domain, boundary_intersections
+from pecshift.stencil import FitTable
 
 from conftest import CIRCLE, circle_geometry
 
@@ -130,13 +133,16 @@ class TestClassification:
 
     def test_too_thin_geometry_rejected(self):
         # a double-thick wall of boundary nodes leaves its ghosts with no
-        # exterior data within two hops to extend from
+        # upwind data to extend from; classification accepts it and the
+        # extension names the first such ghost
         grid = build_uniform_grid(Domain(), 16, 16)
         grid.shifted[4:6, 2:14] = True
         phi = np.where(grid.x >= grid.lattice_x()[6] - 1e-9, 1.0, -1.0)
         phi[grid.shifted] = 0.0
-        with pytest.raises(GridError, match="two hops"):
-            classify_nodes(grid, phi)
+        classes = classify_nodes(grid, phi)
+        ls = LevelSetData(phi, np.ones(grid.shape), np.zeros(grid.shape))
+        with pytest.raises(GridError, match=r"node \(5, 3\) .*too thin"):
+            GhostExtender(grid, ls, classes, FitTable.build(grid))
 
     def test_topology_unchanged_by_shift(self):
         grid, *_ = circle_geometry(100)

@@ -8,7 +8,7 @@ import pytest
 from pecshift import solver, stencil
 from pecshift.config import CFL_BOUNDS, ConfigError, SimulationConfig
 from pecshift.extension import GhostExtender
-from pecshift.grid import NodeClass, build_uniform_grid
+from pecshift.grid import GridError, NodeClass, build_uniform_grid
 from pecshift.shapes import Domain
 from pecshift.solver import (FieldState, MaxwellStepper, StabilityError,
                              build_setup, incident_wave, run_simulation)
@@ -228,14 +228,15 @@ class TestBfeccStep:
     @pytest.mark.parametrize("shape", ["circle", "half_moon"])
     def test_blocked_step_equals_the_sub_steps_written_out(self, shape,
                                                            monkeypatch):
-        # The reference applies run as one block; the stepper's sweeps and
-        # compensation run in 257-node blocks.
+        # The reference applies run as one block and zero the correction
+        # at inside nodes; the stepper's sweeps run in 257-node blocks and
+        # its compensation has no mask.
         cfg = SimulationConfig(shape=shape)
         ref = build_setup(cfg, 60)
         assert len(ref.fits.blocks) == 1
         monkeypatch.setattr(stencil, "BLOCK_NODES", 257)
         st = build_setup(cfg, 60).stepper
-        assert len(st.fits.blocks) > 1 and len(st._comp_blocks) > 1
+        assert len(st.fits.blocks) > 1
         assert_bfecc_is_the_sub_steps_written_out(ref.grid, ref.classes,
                                                   ref.fits, st)
 
@@ -362,6 +363,22 @@ class TestRunSimulation:
                 pytest.raises(StabilityError, match="step"):
             setup.stepper.run(5000.0, 50 * setup.grid.dx)
 
+    @pytest.mark.parametrize("final_time, dt, name", [
+        (1.0, 0.0, "dt"), (1.0, -0.1, "dt"), (1.0, float("nan"), "dt"),
+        (float("nan"), 0.1, "final_time"), (float("inf"), 0.1, "final_time"),
+        (-1.0, 0.1, "final_time")])
+    def test_run_rejects_a_march_that_cannot_end(self, final_time, dt, name):
+        # Without the check a non-positive dt never reaches final_time;
+        # the callback stops such a march instead of letting it hang.
+        _, st = free_space_stepper(16)
+
+        def stop(state, step):
+            if step >= 3:
+                raise AssertionError(f"marched to t={state.time}")
+
+        with pytest.raises(ValueError, match=name):
+            st.run(final_time, dt, on_step=stop)
+
     @pytest.mark.parametrize("entry", [run_simulation,
                                        lambda cfg: build_setup(cfg, 24)],
                              ids=["run_simulation", "build_setup"])
@@ -374,6 +391,14 @@ class TestRunSimulation:
                                cfl=1.0)
         with pytest.raises(ConfigError, match="cfl"):
             entry(cfg)
+
+    # The default half moon's tips are too thin for the causal extension
+    # at these sizes; 305 also drops intersections far from their node.
+    @pytest.mark.filterwarnings("ignore::pecshift.grid.UnderResolvedGeometryWarning")
+    @pytest.mark.parametrize("n", [29, 35, 41, 127, 262, 305, 348])
+    def test_half_moon_too_thin_to_extend_into(self, n):
+        with pytest.raises(GridError, match=r"node \(\d+, \d+\) .*too thin"):
+            build_setup(SimulationConfig(shape="half_moon"), n)
 
     def test_stability_error_survives_pickling(self):
         # A study grid that blows up in a worker process sends this error
