@@ -37,12 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_dir(cfg, args) -> Path:
-    out = Path(args.output_dir or cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _cmd_run(cfg, out: Path) -> int:
     setup = build_setup(cfg, cfg.grid_size)
     phi = setup.ls.phi if setup.ls is not None else None
@@ -105,8 +99,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    out = _output_dir(cfg, args)
     try:
+        out = Path(args.output_dir or cfg.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
         if args.command == "run":
             return _cmd_run(cfg, out)
         if args.command == "convergence":

@@ -195,4 +195,8 @@ def load_config(path) -> SimulationConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config not found: {p}")
-    return parse_config_text(p.read_text())
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config {p}: {err}") from err
+    return parse_config_text(text)

@@ -50,45 +50,59 @@ def _flat(a: np.ndarray) -> np.ndarray:
 
 
 def _causal_rows(targets: np.ndarray, grid: GridTopology, phi: np.ndarray,
-                 frozen: np.ndarray):
-    """Rows ``(idx, weights)`` of shape ``(len(targets), k)`` giving each
-    target's upwind-extended value as a convex combination of frozen
-    nodes (flat indices). Upstream region nodes are memoized; short rows
-    are padded with their first source at weight zero."""
-    rows: dict = {}
+                 *frozen: np.ndarray) -> list:
+    """Rows ``(idx, weights)`` of shape ``(len(targets), k)`` per frozen
+    mask: each target's upwind-extended value as a convex combination of
+    frozen nodes (flat indices), short rows padded with their first source
+    at weight zero. The masks share each node's upwind pairs. Python-float
+    ``** 2`` is libm ``pow``, as on NumPy scalars; an array's is not."""
+    nx, ny = grid.nx, grid.ny
+    phi_at, x_at, y_at = phi.item, grid.x.item, grid.y.item
+    pairs: dict = {}
 
-    def upwind(i: int, j: int):
-        """(neighbour, weight) of smaller phi on each lattice axis."""
-        for pair in (((i + 1, j), (i - 1, j)), ((i, j + 1), (i, j - 1))):
-            f, q = min((phi[q], q) for q in pair
-                       if 0 <= q[0] < grid.nx and 0 <= q[1] < grid.ny)
-            if f < phi[i, j]:
-                yield q, (phi[i, j] - f) / ((grid.x[q] - grid.x[i, j]) ** 2
-                                            + (grid.y[q] - grid.y[i, j]) ** 2)
-
-    def resolve(i: int, j: int) -> dict:
-        if (i, j) not in rows:
-            up = list(upwind(i, j))
+    def upwind(p: int) -> list:
+        """On-lattice neighbour of smaller phi on each axis (W, S on ties),
+        with its weight over the node's total."""
+        if p not in pairs:
+            i, j = divmod(p, ny)
+            f, x, y = phi_at(p), x_at(p), y_at(p)
+            up = []
+            for axis in ((p - ny, p + ny)[i == 0:1 + (i < nx - 1)],
+                         (p - 1, p + 1)[j == 0:1 + (j < ny - 1)]):
+                fq, q = min([(phi_at(q), q) for q in axis])
+                if fq < f:
+                    up.append((q, (f - fq) / ((x_at(q) - x) ** 2
+                                              + (y_at(q) - y) ** 2)))
             if not up:
                 raise GridError(f"node ({i}, {j}) has no upwind neighbour "
                                 "to extend from; geometry too thin to extend "
                                 "into at this resolution")
             total = sum(w for _, w in up)
-            row: dict = {}
-            for q, w in up:
-                sources = {q[0] * grid.ny + q[1]: 1.0} if frozen[q] else resolve(*q)
-                for s, ws in sources.items():
-                    row[s] = row.get(s, 0.0) + w / total * ws
-            rows[i, j] = row
-        return rows[i, j]
+            pairs[p] = [(q, w / total) for q, w in up]
+        return pairs[p]
 
-    resolved = [resolve(*divmod(int(p), grid.ny)) for p in targets]
-    k = max(map(len, resolved), default=0)
-    shape = (len(resolved), k)
-    idx = [list(r) + [next(iter(r))] * (k - len(r)) for r in resolved]
-    wts = [list(r.values()) + [0.0] * (k - len(r)) for r in resolved]
-    return (np.array(idx, dtype=np.intp).reshape(shape),
-            np.array(wts, dtype=float).reshape(shape))
+    def solve(is_frozen) -> tuple:
+        rows: dict = {}
+
+        def resolve(p: int) -> dict:
+            if p not in rows:
+                row: dict = {}
+                for q, c in upwind(p):
+                    for s, ws in (((q, 1.0),) if is_frozen(q)
+                                  else resolve(q).items()):
+                        row[s] = row.get(s, 0.0) + c * ws
+                rows[p] = row
+            return rows[p]
+
+        resolved = [resolve(p) for p in targets.tolist()]
+        k = max(map(len, resolved), default=0)
+        shape = (len(resolved), k)
+        idx = [list(r) + [next(iter(r))] * (k - len(r)) for r in resolved]
+        wts = [list(r.values()) + [0.0] * (k - len(r)) for r in resolved]
+        return (np.array(idx, dtype=np.intp).reshape(shape),
+                np.array(wts, dtype=float).reshape(shape))
+
+    return [solve(mask.item) for mask in frozen]
 
 
 class GhostExtender:
@@ -98,8 +112,11 @@ class GhostExtender:
     over sources with phi <= 0, which carries the H.t trace, and a
     derivative row over sources with phi < 0, which carries the fitted
     normal derivatives ``n_x c0 + n_y c1`` of H.n, H.t and Ez, evaluated
-    at those sources only. :meth:`extend_fields` is then one
-    gather-multiply-sum per quantity plus the Taylor assembly.
+    at those sources only. Both row sets share each node's upwind pairs,
+    and one ``np.unique`` with its inverse gives :attr:`nodes` and both
+    position arrays into it (``value_idx``, ``dn_nbr``); a plain
+    ``np.unique`` would import ``numpy.ma``. :meth:`extend_fields` is then
+    one gather-multiply-sum per quantity plus the Taylor assembly.
 
     On the point-shifted grids of the shapes here, every node the
     extension reads (:attr:`nodes`) is an exterior or boundary node, so
@@ -115,8 +132,8 @@ class GhostExtender:
         self.ghost = LevelSetData(*(_flat(a)[g] for a in (
             ls.phi, ls.normal_x, ls.normal_y)))
 
-        value_src, self.value_w = _causal_rows(g, grid, ls.phi, ls.phi <= 0.0)
-        dn_src, self.dn_w = _causal_rows(g, grid, ls.phi, ls.phi < 0.0)
+        (value_src, self.value_w), (dn_src, self.dn_w) = _causal_rows(
+            g, grid, ls.phi, ls.phi <= 0.0, ls.phi < 0.0)
 
         # Derivative sources and their 5-point stencils; ring nodes have
         # no fit, so they get zero weights and read only themselves.
@@ -131,11 +148,10 @@ class GhostExtender:
         self.dn_op = (_flat(ls.normal_x)[centers] * wc[0]
                       + _flat(ls.normal_y)[centers] * wc[1])
 
-        # Every node a ghost reads, and positions into that list.
-        self.nodes = np.unique(np.concatenate((value_src.ravel(),
-                                               stencil.ravel())))
-        self.value_idx = np.searchsorted(self.nodes, value_src)
-        self.dn_nbr = np.searchsorted(self.nodes, stencil)
+        self.nodes, pos = np.unique(np.concatenate(
+            (value_src.ravel(), stencil.ravel())), return_inverse=True)
+        self.value_idx = pos[:value_src.size].reshape(value_src.shape)
+        self.dn_nbr = pos[value_src.size:].reshape(stencil.shape)
         self.frame = LevelSetData(*(_flat(a)[self.nodes] for a in (
             ls.phi, ls.normal_x, ls.normal_y)))
         self.on_boundary = _flat(classes)[self.nodes] == NodeClass.BOUNDARY

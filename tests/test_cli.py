@@ -94,3 +94,24 @@ def test_convergence_in_a_worker_pool_writes_the_table(tmp_path, capsys):
     out = tmp_path / "out"
     assert sorted(p.name for p in out.iterdir()) == ["convergence.csv",
                                                      "convergence.txt"]
+
+
+def test_output_dir_under_a_file_exits_1(tmp_path, capsys):
+    config = write_config(tmp_path, "grid_size = 30\nfinal_time = 0.2\n")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    code = main(["--quiet", "--output-dir", str(blocker / "sub"), "run",
+                 str(config)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: NotADirectoryError: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "case.cfg"
+    config.write_bytes(b"grid_size = 30\n# caf\xe9\n")
+    assert run_cli(tmp_path, "run", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config ")
+    assert len(err.splitlines()) == 1

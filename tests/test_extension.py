@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pecshift.config import SimulationConfig
-from pecshift.extension import GhostExtender, decompose, recompose
+from pecshift.extension import (GhostExtender, _causal_rows, decompose,
+                                recompose)
 from pecshift.grid import GridError, NodeClass
 from pecshift.levelset import LevelSetData
 from pecshift.solver import build_setup
+from pecshift.stencil import neighbor_flat_offsets
 
 from conftest import CIRCLE, circle_geometry, planar_geometry
 
@@ -121,6 +128,123 @@ class TestCausalRows:
         ls = LevelSetData(phi, planar.normal_x, planar.normal_y)
         with pytest.raises(GridError, match=rf"node \({i}, {j}\)"):
             GhostExtender(grid, ls, classes, fits)
+
+
+def reference_causal_rows(targets, grid, phi, frozen):
+    """The causal rows as first written: tuple-indexed recursion on NumPy
+    scalars with one memo per frozen set. Kept as the bitwise oracle."""
+    rows: dict = {}
+
+    def upwind(i, j):
+        for pair in (((i + 1, j), (i - 1, j)), ((i, j + 1), (i, j - 1))):
+            f, q = min((phi[q], q) for q in pair
+                       if 0 <= q[0] < grid.nx and 0 <= q[1] < grid.ny)
+            if f < phi[i, j]:
+                yield q, (phi[i, j] - f) / ((grid.x[q] - grid.x[i, j]) ** 2
+                                            + (grid.y[q] - grid.y[i, j]) ** 2)
+
+    def resolve(i, j):
+        if (i, j) not in rows:
+            up = list(upwind(i, j))
+            if not up:
+                raise GridError(f"node ({i}, {j}) has no upwind neighbour")
+            total = sum(w for _, w in up)
+            row: dict = {}
+            for q, w in up:
+                sources = {q[0] * grid.ny + q[1]: 1.0} if frozen[q] else resolve(*q)
+                for s, ws in sources.items():
+                    row[s] = row.get(s, 0.0) + w / total * ws
+            rows[i, j] = row
+        return rows[i, j]
+
+    resolved = [resolve(*divmod(int(p), grid.ny)) for p in targets]
+    k = max(map(len, resolved), default=0)
+    shape = (len(resolved), k)
+    idx = [list(r) + [next(iter(r))] * (k - len(r)) for r in resolved]
+    wts = [list(r.values()) + [0.0] * (k - len(r)) for r in resolved]
+    return (np.array(idx, dtype=np.intp).reshape(shape),
+            np.array(wts, dtype=float).reshape(shape))
+
+
+def assert_rows_bitwise(rows, reference):
+    (idx, w), (ref_idx, ref_w) = rows, reference
+    assert idx.dtype == ref_idx.dtype and np.array_equal(idx, ref_idx)
+    assert w.shape == ref_w.shape
+    assert np.array_equal(w.view(np.int64), ref_w.view(np.int64))
+
+
+class TestCausalRowOracle:
+    """The shared-pair, flat-indexed rows against the reference recursion."""
+
+    @pytest.mark.parametrize("n", [60, 100, 200, 201, 401])
+    @pytest.mark.parametrize("shape", ["circle", "half_moon"])
+    def test_rows_and_positions_bitwise(self, shape, n):
+        setup = build_setup(SimulationConfig(shape=shape), n)
+        grid, phi = setup.grid, setup.ls.phi
+        ext = setup.stepper.extender
+        g = ext.ghost_flat
+        masks = (phi <= 0.0, phi < 0.0)
+        rows = _causal_rows(g, grid, phi, *masks)
+        reference = [reference_causal_rows(g, grid, phi, m) for m in masks]
+        for got, ref in zip(rows, reference):
+            assert_rows_bitwise(got, ref)
+        assert_rows_bitwise((ext.nodes[ext.value_idx], ext.value_w),
+                            reference[0])
+
+        # nodes and positions as unique + searchsorted built them
+        value_src, dn_src = reference[0][0], reference[1][0]
+        centers = np.unique(dn_src)
+        stencil = np.where(setup.fits.valid.ravel()[centers],
+                           centers + neighbor_flat_offsets(grid.ny)[:, None],
+                           centers)
+        nodes = np.unique(np.concatenate((value_src.ravel(),
+                                          stencil.ravel())))
+        assert np.array_equal(ext.nodes, nodes)
+        assert np.array_equal(ext.value_idx,
+                              np.searchsorted(nodes, value_src))
+        assert np.array_equal(ext.dn_nbr, np.searchsorted(nodes, stencil))
+
+    def test_lattice_edge_neighbours(self, planar_101):
+        # the planar fixture's ghosts reach the domain ring, so some
+        # nodes have one neighbour on an axis
+        grid, classes, fits, planar, *_ = planar_101
+        g = np.flatnonzero(classes == NodeClass.GHOST)
+        i, j = np.divmod(g, grid.ny)
+        assert ((j == 0) | (j == grid.ny - 1) | (i == 0)
+                | (i == grid.nx - 1)).any()
+        masks = (planar.phi <= 0.0, planar.phi < 0.0)
+        for got, m in zip(_causal_rows(g, grid, planar.phi, *masks), masks):
+            assert_rows_bitwise(got, reference_causal_rows(g, grid,
+                                                           planar.phi, m))
+
+
+RUN_SCRIPT = """
+import sys, tempfile
+from pathlib import Path
+from pecshift.config import SimulationConfig
+from pecshift.export import export_field, export_grid, export_vtk
+from pecshift.solver import build_setup
+
+with tempfile.TemporaryDirectory() as tmp:
+    for shape in ("circle", "half_moon"):
+        setup = build_setup(SimulationConfig(shape=shape, final_time=0.2), 60)
+        state = setup.stepper.run(0.2, setup.dt)
+        phi = setup.ls.phi
+        export_field(state, setup.grid, phi, setup.classes, Path(tmp, "f.csv"))
+        export_vtk(state, setup.grid, phi, Path(tmp, "f.vtk"))
+        export_grid(setup.grid, setup.classes, Path(tmp, "g.csv"))
+print(" ".join(m for m in ("numpy.ma", "scipy") if m in sys.modules))
+"""
+
+
+def test_full_run_imports_neither_numpy_ma_nor_scipy():
+    # A fresh interpreter: the test process has imported both already.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", RUN_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 class TestExtendH:
