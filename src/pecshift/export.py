@@ -2,15 +2,17 @@
 
 Every float is written as ``%.17g``, so a re-read reproduces it bitwise,
 and the files are byte-identical to formatting each node on its own with
-``f"{v:.17g}"``. They are written one lattice row ``j`` at a time, with one
-``%`` operation per row; no whole-file table is built, so memory stays at
-a few rows plus the per-node coordinate strings and class names.
+``f"{v:.17g}"``. One writer writes each file a lattice row ``j`` at a time,
+with one ``%`` per row from a row-sized buffer, so memory stays at a few
+rows whatever the grid size. Coordinates are the lattice lines' strings,
+formatted once, patched with the nodes whose bits differ from them
+(shifted nodes, -0.0, nan), each formatted once.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -22,35 +24,46 @@ _NAME_BY_CODE = np.array([CLASS_NAMES[NodeClass(k)] for k in range(len(NodeClass
                         dtype=object)
 
 
-def _class_names(classes: np.ndarray) -> np.ndarray:
-    """Class name of every node; an unknown code raises ValueError, as
-    ``NodeClass(code)`` does (a negative index would wrap around)."""
+def _strings(a: np.ndarray) -> np.ndarray:
+    return np.array(["%.17g" % v for v in a.tolist()], dtype=object)
+
+
+def _node_cells(grid: GridTopology, classes: np.ndarray):
+    """``fill(xcol, ycol, ccol, j)``, which writes row j's x and y strings
+    and class names into three columns: a lattice line's strings, patched
+    where a node's bits differ. An unknown class code raises ValueError, as
+    ``NodeClass(code)`` does; the codes are 0..3, so the extremes decide."""
     codes = np.asarray(classes)
-    bad = (codes < 0) | (codes >= len(_NAME_BY_CODE))
-    if bad.any():
-        NodeClass(int(codes[bad][0]))
-    return _NAME_BY_CODE[codes]
+    NodeClass(int(codes.min())), NodeClass(int(codes.max()))
+    parts = []
+    for a, lat in ((grid.x.T, grid.lattice_x()[None, :]),
+                   (grid.y.T, grid.lattice_y()[:, None])):
+        j, i = np.nonzero(a.view(np.int64) != lat.view(np.int64))
+        starts = np.searchsorted(j, np.arange(grid.ny + 1)).tolist()
+        parts.append((_strings(lat.ravel()), starts, i, _strings(a[j, i])))
+    (xline, xs, xi, xp), (yline, ys, yi, yp) = parts
+
+    def fill(xcol, ycol, ccol, j):
+        xcol[:] = xline
+        ycol[:] = yline[j]
+        xcol[xi[xs[j]:xs[j + 1]]] = xp[xs[j]:xs[j + 1]]
+        ycol[yi[ys[j]:ys[j + 1]]] = yp[ys[j]:ys[j + 1]]
+        ccol[:] = _NAME_BY_CODE[codes[:, j]]
+    return fill
 
 
-def _coord_strings(a: np.ndarray) -> np.ndarray:
-    """``%.17g`` of every entry, formatting each distinct float64 bit pattern
-    once. Deduped by bits, not value: -0.0 prints ``-0`` and 0.0 ``0``."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    bits, inverse = np.unique(a.view(np.int64).ravel(), return_inverse=True)
-    table = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()],
-                     dtype=object)
-    return table[inverse].reshape(a.shape)
-
-
-def _rows(columns) -> Iterator[tuple]:
-    """For each lattice row j, the values of ``columns`` (each ``(nx, ny)``)
-    node by node, interleaved into one tuple."""
-    nx, ny = np.shape(columns[0])
-    row = np.empty((nx, len(columns)), dtype=object)
-    for j in range(ny):
-        for k, col in enumerate(columns):
-            row[:, k] = col[:, j]
-        yield tuple(row.ravel().tolist())
+def _write(path, header: str, blocks, ny: int) -> None:
+    """Write ``header``, then for each ``(head, fmt, values)`` of ``blocks``
+    ``head`` and ``fmt % values(j)`` for every lattice row j."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(header)
+            for head, fmt, values in blocks:
+                fh.write(head)
+                for j in range(ny):
+                    fh.write(fmt % values(j))
+    except OSError as err:
+        raise OSError(f"cannot write {path}: {err}") from err
 
 
 def export_field(state: FieldState, grid: GridTopology,
@@ -58,18 +71,17 @@ def export_field(state: FieldState, grid: GridTopology,
                  path) -> None:
     """CSV with one row per node, row-major by (j, i); floats carry 17
     significant digits so a re-read reproduces the state bitwise."""
-    path = Path(path)
-    phi_arr = np.zeros(grid.shape) if phi is None else phi
-    columns = (_coord_strings(grid.x), _coord_strings(grid.y),
-               _class_names(classes), phi_arr, state.hx, state.hy, state.ez)
+    fill = _node_cells(grid, classes)
+    row = np.empty((grid.nx, 7), dtype=object)
+    floats = {3: phi, 4: state.hx, 5: state.hy, 6: state.ez}
+
+    def values(j):
+        fill(row[:, 0], row[:, 1], row[:, 2], j)
+        for k, a in floats.items():
+            row[:, k] = 0.0 if a is None else a[:, j]
+        return tuple(row.ravel().tolist())
     fmt = "%s,%s,%s,%.17g,%.17g,%.17g,%.17g\n" * grid.nx
-    try:
-        with open(path, "w") as fh:
-            fh.write("x,y,class,phi,hx,hy,ez\n")
-            for values in _rows(columns):
-                fh.write(fmt % values)
-    except OSError as err:
-        raise OSError(f"cannot write field CSV {path}: {err}") from err
+    _write(path, "x,y,class,phi,hx,hy,ez\n", [("", fmt, values)], grid.ny)
 
 
 def read_field_csv(path) -> dict:
@@ -81,8 +93,10 @@ def read_field_csv(path) -> dict:
         header = fh.readline().strip().split(",")
         if header != list(cols):
             raise ValueError(f"unexpected CSV header in {path}: {header}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             vals = line.strip().split(",")
+            if len(vals) != len(cols):
+                raise ValueError(f"{path}:{lineno}: {len(vals)} fields, not {len(cols)}")
             for name, v in zip(cols, vals):
                 cols[name].append(v if name == "class" else float(v))
     return {k: (v if k == "class" else np.array(v)) for k, v in cols.items()}
@@ -90,35 +104,31 @@ def read_field_csv(path) -> dict:
 
 def export_grid(grid: GridTopology, classes: np.ndarray, path) -> None:
     """Grid dump: i,j,x,y,shifted,class — one row per node."""
-    path = Path(path)
-    columns = (np.broadcast_to(np.arange(grid.nx)[:, None], grid.shape),
-               _coord_strings(grid.x), _coord_strings(grid.y),
-               grid.shifted.astype(np.int64), _class_names(classes))
-    with open(path, "w") as fh:
-        fh.write("i,j,x,y,shifted,class\n")
-        for j, values in enumerate(_rows(columns)):
-            fh.write((f"%d,{j},%s,%s,%d,%s\n" * grid.nx) % values)
+    fill = _node_cells(grid, classes)
+    row = np.empty((grid.nx, 5), dtype=object)
+
+    def values(j):
+        row[:, 0] = str(j)
+        fill(row[:, 1], row[:, 2], row[:, 4], j)
+        row[:, 3] = grid.shifted[:, j]
+        return tuple(row.ravel().tolist())
+    fmt = "".join(f"{i},%s,%s,%s,%d,%s\n" for i in range(grid.nx))
+    _write(path, "i,j,x,y,shifted,class\n", [("", fmt, values)], grid.ny)
 
 
 def export_vtk(state: FieldState, grid: GridTopology,
                phi: Optional[np.ndarray], path) -> None:
     """Legacy-VTK structured points over the unshifted lattice with nodal
     scalars (visualization convenience; shifted coordinates live in the CSV)."""
-    path = Path(path)
-    n = grid.nx * grid.ny
     fields = {"ez": state.ez, "hx": state.hx, "hy": state.hy}
     if phi is not None:
         fields["phi"] = phi
     line = " ".join(["%.17g"] * grid.nx) + "\n"
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"pecshift fields t={state.time:.17g}\n")
-        fh.write("ASCII\nDATASET STRUCTURED_POINTS\n")
-        fh.write(f"DIMENSIONS {grid.nx} {grid.ny} 1\n")
-        fh.write(f"ORIGIN {grid.x0:.17g} {grid.y0:.17g} 0\n")
-        fh.write(f"SPACING {grid.dx:.17g} {grid.dy:.17g} 1\n")
-        fh.write(f"POINT_DATA {n}\n")
-        for name, arr in fields.items():
-            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            for j in range(grid.ny):
-                fh.write(line % tuple(arr[:, j].tolist()))
+    header = (f"# vtk DataFile Version 3.0\npecshift fields t={state.time:.17g}\n"
+              f"ASCII\nDATASET STRUCTURED_POINTS\nDIMENSIONS {grid.nx} {grid.ny} 1\n"
+              f"ORIGIN {grid.x0:.17g} {grid.y0:.17g} 0\nSPACING {grid.dx:.17g} "
+              f"{grid.dy:.17g} 1\nPOINT_DATA {grid.nx * grid.ny}\n")
+    _write(path, header,
+           [(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n", line,
+             lambda j, a=arr: tuple(a[:, j].tolist()))
+            for name, arr in fields.items()], grid.ny)

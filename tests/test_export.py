@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -159,23 +160,66 @@ def test_field_csv_roundtrip_bitwise(circle_run, tmp_path):
     assert np.abs(state.ez).max() > 0.1
 
 
+@pytest.fixture(scope="module")
+def large_circles():
+    """Circle geometry with a random state at 200^2 and 400^2."""
+    cases = []
+    for n in (200, 400):
+        grid, classes, _, ls = circle_geometry(n)
+        rng = np.random.default_rng(3)
+        state = FieldState(*(rng.standard_normal(grid.shape) for _ in range(3)))
+        cases.append((state, grid, ls.phi, classes))
+    return cases
+
+
+@pytest.mark.parametrize("exporter", ["field", "field_no_phi", "vtk", "grid"])
+def test_export_memory_stays_per_row(exporter, large_circles, tmp_path):
+    # One whole-grid object or int64 table is 0.32 MB at 200^2 and 1.3 MB
+    # at 400^2; the row writer stays near 0.3 MB at 400^2.
+    for state, grid, phi, classes in large_circles:
+        calls = {
+            "field": lambda: export_field(state, grid, phi, classes,
+                                          tmp_path / "f.csv"),
+            "field_no_phi": lambda: export_field(state, grid, None, classes,
+                                                 tmp_path / "f.csv"),
+            "vtk": lambda: export_vtk(state, grid, phi, tmp_path / "f.vtk"),
+            "grid": lambda: export_grid(grid, classes, tmp_path / "g.csv"),
+        }
+        tracemalloc.start()
+        try:
+            calls[exporter]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6, (grid.shape, peak)
+
+
 @pytest.mark.parametrize("exporter", ["field", "vtk", "grid"])
-def test_export_memory_stays_per_row(exporter, tmp_path):
-    # A whole-file string table at 200^2 would take well over 10 MB.
-    grid, classes, _, ls = circle_geometry(200)
-    phi = ls.phi
-    rng = np.random.default_rng(3)
-    state = FieldState(*(rng.standard_normal(grid.shape) for _ in range(3)))
+def test_unwritable_path_raises_an_oserror_naming_the_file(exporter, tmp_path):
+    state, grid, phi, classes = non_square_case()
+    path = tmp_path / "missing" / "out.txt"
     calls = {
-        "field": lambda: export_field(state, grid, phi, classes,
-                                      tmp_path / "f.csv"),
-        "vtk": lambda: export_vtk(state, grid, phi, tmp_path / "f.vtk"),
-        "grid": lambda: export_grid(grid, classes, tmp_path / "g.csv"),
+        "field": lambda: export_field(state, grid, phi, classes, path),
+        "vtk": lambda: export_vtk(state, grid, phi, path),
+        "grid": lambda: export_grid(grid, classes, path),
     }
-    tracemalloc.start()
-    try:
+    with pytest.raises(OSError, match=re.escape(f"cannot write {path}: ")) as info:
         calls[exporter]()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
+    assert isinstance(info.value.__cause__, FileNotFoundError)
+
+
+@pytest.mark.parametrize("row, fields", [(-1, 6), (4, 8)])
+def test_read_rejects_a_row_with_the_wrong_field_count(row, fields,
+                                                       circle_run, tmp_path):
+    # Row -1 is the last row cut short; row 4 has one field too many.
+    state, grid, phi, classes = circle_run
+    path = tmp_path / "final.csv"
+    export_field(state, grid, phi, classes, path)
+    lines = path.read_text().splitlines()
+    cells = lines[row].split(",")
+    lines[row] = ",".join(cells[:6] if fields == 6 else cells + ["0"])
+    path.write_text("\n".join(lines) + "\n")
+    lineno = row % len(lines) + 1
+    with pytest.raises(ValueError,
+                       match=f"final.csv:{lineno}: {fields} fields, not 7"):
+        read_field_csv(path)
