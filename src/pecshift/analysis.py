@@ -1,19 +1,22 @@
-"""Grid-refinement error analysis against a fine-grid reference.
+"""Grid-refinement studies: a PEC shape against a fine-grid reference run,
+and free space against the analytic plane wave. Both fill an
+``ErrorReport`` through one ladder, ``_tabulate``, in which a grid whose
+run raises becomes a FAILED row; the CLI writes the reports' files.
 
-Errors are sampled on exterior nodes within a fixed physical band outside
-the PEC boundary (its width set in coarsest-grid dx units), the reference
-solution is interpolated bilinearly onto the sample points, and observed
-orders are log2 ratios of consecutive l1 errors. l1 here is the mean
-absolute difference over the samples, so sample counts may differ per
-grid without skewing the orders.
+PEC errors are sampled on exterior nodes within a fixed physical band
+outside the boundary (its width set in coarsest-grid dx units), where the
+reference solution is interpolated bilinearly. l1 is the mean absolute
+difference over the samples, so sample counts may differ per grid without
+skewing the orders, which are log2 ratios of consecutive l1 errors.
 """
 
 from __future__ import annotations
 
+import csv
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -89,9 +92,9 @@ class ErrorReport:
     """Sampled-band l1 errors and observed orders per grid size."""
 
     grid_sizes: list
-    sample_counts: list
-    err_ez: list
-    err_hx: list
+    sample_counts: list = field(default_factory=list)
+    err_ez: list = field(default_factory=list)
+    err_hx: list = field(default_factory=list)
     order_ez: list = field(default_factory=list)
     order_hx: list = field(default_factory=list)
     failures: dict = field(default_factory=dict)
@@ -127,31 +130,51 @@ class ErrorReport:
         return "\n".join(lines)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("grid,samples,err_ez,order_ez,err_hx_bx,order_hx,status\n")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["grid", "samples", "err_ez", "order_ez",
+                             "err_hx_bx", "order_hx", "status"])
             for k, n in enumerate(self.grid_sizes):
                 if n in self.failures:
-                    fh.write(f"{n},,,,,,failed: {self.failures[n]}\n")
+                    writer.writerow([n, "", "", "", "", "",
+                                     f"failed: {self.failures[n]}"])
                     continue
-                row = [str(n), str(self.sample_counts[k])]
-                for v in (self.err_ez[k], self.order_ez[k],
-                          self.err_hx[k], self.order_hx[k]):
-                    row.append("" if v is None else f"{v:.17g}")
-                row.append("ok")
-                fh.write(",".join(row) + "\n")
+                writer.writerow(
+                    [n, self.sample_counts[k]]
+                    + ["" if v is None else f"{v:.17g}"
+                       for v in (self.err_ez[k], self.order_ez[k],
+                                 self.err_hx[k], self.order_hx[k])]
+                    + ["ok"])
 
 
 def _run_one(config, n: int):
     return run_simulation(config, n=n)
 
 
-def convergence_study(config, executor: Optional[ProcessPoolExecutor] = None,
-                      output_dir: Optional[Path] = None) -> ErrorReport:
-    """Run the grid ladder plus the reference and tabulate band errors.
-
-    Individual study grids that fail keep the rest of the table usable;
-    the failure reason is recorded in their row.
+def _tabulate(report: ErrorReport, runs: dict, errors) -> ErrorReport:
+    """Run each ``runs[n]() -> (state, setup)`` in order. A run that raises
+    becomes a logged FAILED row; otherwise ``errors(state, setup)`` gives
+    the row's ``(samples, err_ez, err_hx)``, and what it raises propagates.
     """
+    for n, run in runs.items():
+        try:
+            state, setup = run()
+        except Exception as err:  # noqa: BLE001 - record and continue
+            logger.error("grid %d failed: %s", n, err)
+            report.failures[n] = str(err)
+            row = (0, None, None)
+        else:
+            row = errors(state, setup)
+        for column, value in zip(
+                (report.sample_counts, report.err_ez, report.err_hx), row):
+            column.append(value)
+    return report.finalize()
+
+
+def convergence_study(config, executor: Optional[ProcessPoolExecutor] = None
+                      ) -> ErrorReport:
+    """Run the grid ladder plus the reference and tabulate band errors.
+    With an ``executor``, every grid is submitted before the reference."""
     sizes = list(config.grid_sizes)
     if len(sizes) < 2:
         raise AnalysisError("convergence study needs at least 2 grid sizes")
@@ -164,52 +187,25 @@ def convergence_study(config, executor: Optional[ProcessPoolExecutor] = None,
                             "use the free-space study for shape = none")
 
     coarsest_dx = config.domain().width / (min(sizes) - 1)
-
-    # Pool workers start on the study grids while the reference runs here.
-    futures = {}
-    if executor is not None:
-        futures = {n: executor.submit(_run_one, config, n) for n in sizes}
+    runs = {n: (partial(_run_one, config, n) if executor is None
+                else executor.submit(_run_one, config, n).result)
+            for n in sizes}
     logger.info("reference run at %d^2", config.reference_size)
     ref_state, ref_setup = run_simulation(config, n=config.reference_size)
 
-    results: dict = {}
-    for n in sizes:
-        try:
-            results[n] = (futures[n].result() if futures
-                          else _run_one(config, n))
-        except Exception as err:  # noqa: BLE001 - record and continue
-            results[n] = err
-
-    report = ErrorReport(grid_sizes=sizes, sample_counts=[], err_ez=[],
-                         err_hx=[],
-                         label=(f"{config.shape} shape, dt/dx={config.cfl:g}, "
-                                f"T={config.final_time:g}, reference "
-                                f"{config.reference_size}^2"))
-    for n in sizes:
-        outcome = results[n]
-        if isinstance(outcome, Exception):
-            logger.error("grid %d failed: %s", n, outcome)
-            report.failures[n] = str(outcome)
-            report.sample_counts.append(0)
-            report.err_ez.append(None)
-            report.err_hx.append(None)
-            continue
-        state, setup = outcome
+    def band_errors(state, setup):
         mask = sampling_mask(setup.ls.phi, setup.classes,
                              config.band_width, coarsest_dx)
         qx, qy = setup.grid.x[mask], setup.grid.y[mask]
         rhx, _, rez = interpolate_reference(ref_state, ref_setup, qx, qy)
-        report.sample_counts.append(int(mask.sum()))
-        report.err_ez.append(float(np.mean(np.abs(state.ez[mask] - rez))))
-        report.err_hx.append(float(np.mean(np.abs(state.hx[mask] - rhx))))
-    report.finalize()
+        return (int(mask.sum()), float(np.mean(np.abs(state.ez[mask] - rez))),
+                float(np.mean(np.abs(state.hx[mask] - rhx))))
 
-    if output_dir is not None:
-        output_dir = Path(output_dir)
-        output_dir.mkdir(parents=True, exist_ok=True)
-        report.to_csv(output_dir / "convergence.csv")
-        (output_dir / "convergence.txt").write_text(report.to_text() + "\n")
-    return report
+    report = ErrorReport(grid_sizes=sizes,
+                         label=(f"{config.shape} shape, dt/dx={config.cfl:g}, "
+                                f"T={config.final_time:g}, reference "
+                                f"{config.reference_size}^2"))
+    return _tabulate(report, runs, band_errors)
 
 
 def freespace_errors(state: FieldState, setup: SimulationSetup,
@@ -229,14 +225,13 @@ def freespace_study(config) -> ErrorReport:
     the analytic solution rather than a reference grid."""
     if config.make_shape() is not None:
         raise AnalysisError("free-space study requires shape = none")
-    sizes = list(config.grid_sizes)
-    report = ErrorReport(grid_sizes=sizes, sample_counts=[], err_ez=[],
-                         err_hx=[],
+    runs = {n: partial(_run_one, config, n) for n in config.grid_sizes}
+
+    def plane_wave_errors(state, setup):
+        g = setup.grid
+        return ((g.nx - 2) * (g.ny - 2),
+                *freespace_errors(state, setup, config.omega))
+
+    report = ErrorReport(grid_sizes=list(runs),
                          label=f"free space, scheme={config.scheme}")
-    for n in sizes:
-        state, setup = run_simulation(config, n=n)
-        err_ez, err_hx = freespace_errors(state, setup, config.omega)
-        report.sample_counts.append((n - 2) * (n - 2))
-        report.err_ez.append(err_ez)
-        report.err_hx.append(err_hx)
-    return report.finalize()
+    return _tabulate(report, runs, plane_wave_errors)

@@ -4,13 +4,14 @@ free-space order checks from a config file."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .analysis import convergence_study, freespace_study, observed_orders
+from .analysis import convergence_study, freespace_study
 from .config import ConfigError, load_config
 from .export import export_field, export_grid, export_vtk
 from .solver import build_setup
@@ -55,20 +56,23 @@ def _cmd_run(cfg, out: Path) -> int:
     return 0
 
 
-def _cmd_convergence(cfg, out: Path) -> int:
-    executor = None
-    if cfg.parallel_grids and cfg.threads > 1:
-        executor = ProcessPoolExecutor(max_workers=cfg.threads)
-    try:
-        report = convergence_study(cfg, executor=executor, output_dir=out)
-    finally:
-        if executor is not None:
-            executor.shutdown()
-    print(report.to_text())
-    if report.failures:
-        print(f"error: {len(report.failures)} grid(s) failed", file=sys.stderr)
+def _exit_status(*reports) -> int:
+    failed = sum(len(report.failures) for report in reports)
+    if failed:
+        print(f"error: {failed} grid(s) failed", file=sys.stderr)
         return 1
     return 0
+
+
+def _cmd_convergence(cfg, out: Path) -> int:
+    with (ProcessPoolExecutor(max_workers=cfg.threads)
+          if cfg.parallel_grids and cfg.threads > 1
+          else contextlib.nullcontext()) as executor:
+        report = convergence_study(cfg, executor=executor)
+    print(report.to_text())
+    report.to_csv(out / "convergence.csv")
+    (out / "convergence.txt").write_text(report.to_text() + "\n")
+    return _exit_status(report)
 
 
 def _cmd_freespace(cfg, out: Path) -> int:
@@ -80,9 +84,9 @@ def _cmd_freespace(cfg, out: Path) -> int:
     print(bfecc.to_text())
     plain.to_csv(out / "freespace_plain.csv")
     bfecc.to_csv(out / "freespace_bfecc.csv")
-    orders = [o for o in observed_orders(bfecc.err_ez) if o is not None]
+    orders = [o for o in bfecc.order_ez if o is not None]
     logger.info("BFECC Ez orders: %s", ", ".join(f"{o:.2f}" for o in orders))
-    return 0
+    return _exit_status(plain, bfecc)
 
 
 def main(argv=None) -> int:
@@ -102,14 +106,8 @@ def main(argv=None) -> int:
     try:
         out = Path(args.output_dir or cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "run":
-            return _cmd_run(cfg, out)
-        if args.command == "convergence":
-            return _cmd_convergence(cfg, out)
-        if args.command == "freespace":
-            return _cmd_freespace(cfg, out)
-        print(f"error: unknown command {args.command!r}", file=sys.stderr)
-        return 2
+        return {"run": _cmd_run, "convergence": _cmd_convergence,
+                "freespace": _cmd_freespace}[args.command](cfg, out)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -52,6 +52,12 @@ class FieldState:
     ez: np.ndarray
     time: float = 0.0
 
+    def __post_init__(self):
+        for name in ("hx", "hy", "ez"):
+            if not getattr(self, name).flags.c_contiguous:
+                raise ValueError(f"FieldState.{name} must be C-contiguous; "
+                                 "writes through its flat view would be lost")
+
     def copy(self) -> "FieldState":
         return FieldState(self.hx.copy(), self.hy.copy(), self.ez.copy(),
                           self.time)

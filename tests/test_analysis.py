@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
@@ -7,8 +9,8 @@ import pytest
 
 from pecshift import analysis
 from pecshift.analysis import (AnalysisError, ErrorReport, convergence_study,
-                               interpolate_reference, observed_orders,
-                               sampling_mask)
+                               freespace_study, interpolate_reference,
+                               observed_orders, sampling_mask)
 from pecshift.config import SimulationConfig
 from pecshift.grid import NodeClass, build_uniform_grid
 from pecshift.shapes import Domain
@@ -92,6 +94,17 @@ class TestErrorReport:
             "400,160,0.03125,2,0.015625,2,ok",
         ]
 
+    def test_csv_quotes_a_failure_with_a_comma_and_a_quote(self, report,
+                                                           tmp_path):
+        reason = 'GridError: node (19, 14) has no "upwind" neighbour'
+        report.failures[100] = reason
+        path = tmp_path / "convergence.csv"
+        report.to_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [7] * 5
+        assert rows[2] == ["100", "", "", "", "", "", f"failed: {reason}"]
+
 
 @pytest.mark.parametrize("overrides, message", [
     (dict(grid_sizes=(100,)), "at least 2 grid sizes"),
@@ -114,20 +127,16 @@ TINY_STUDY = SimulationConfig(grid_sizes=(30, 40), reference_size=80,
 
 
 @pytest.fixture(scope="module")
-def tiny_study(tmp_path_factory):
-    out = tmp_path_factory.mktemp("study")
-    return convergence_study(TINY_STUDY, output_dir=out), out
+def tiny_study():
+    return convergence_study(TINY_STUDY)
 
 
 def test_convergence_study_tabulates_every_grid(tiny_study):
-    report, out = tiny_study
+    report = tiny_study
     assert report.grid_sizes == [30, 40] and not report.failures
     assert all(k > 0 for k in report.sample_counts)
     assert np.isfinite(report.err_ez + report.err_hx).all()
     assert report.order_ez[0] is None and np.isfinite(report.order_ez[1])
-    assert (out / "convergence.txt").read_text() == report.to_text() + "\n"
-    rows = (out / "convergence.csv").read_text().splitlines()
-    assert [r.split(",")[0] for r in rows[1:]] == ["30", "40"]
 
 
 @pytest.fixture
@@ -157,10 +166,20 @@ def test_convergence_study_records_a_failed_grid(unstable_at_30):
     assert report.to_text().splitlines()[2].split()[:2] == ["30", "FAILED"]
 
 
+def test_freespace_study_records_a_failed_grid(unstable_at_30):
+    report = freespace_study(dataclasses.replace(TINY_STUDY, shape="none"))
+    assert report.failures == {
+        30: "non-finite field values after step 4 (t=0.25)"}
+    assert report.err_ez[0] is None and report.err_hx[0] is None
+    assert report.sample_counts[1] == 38 * 38
+    assert np.isfinite([report.err_ez[1], report.err_hx[1]]).all()
+    assert report.to_text().splitlines()[2].split()[:2] == ["30", "FAILED"]
+
+
 def test_convergence_study_in_a_process_pool_matches_serial(tiny_study):
     with forked_pool() as pool:
         report = convergence_study(TINY_STUDY, executor=pool)
-    assert report == tiny_study[0]
+    assert report == tiny_study
 
 
 def test_failed_grid_in_a_process_pool_matches_serial(unstable_at_30):
@@ -194,4 +213,4 @@ def test_convergence_study_submits_the_grids_before_the_reference(
     report = convergence_study(TINY_STUDY, executor=RecordingExecutor(events))
     assert events == [("submit", 30), ("submit", 40), ("run", 80),
                       ("run", 30), ("run", 40)]
-    assert report == tiny_study[0]
+    assert report == tiny_study

@@ -1,8 +1,9 @@
 import numpy as np
 
+from pecshift import analysis
 from pecshift.cli import main
 from pecshift.export import read_field_csv
-from pecshift.solver import MaxwellStepper
+from pecshift.solver import MaxwellStepper, StabilityError
 
 
 def write_config(tmp_path, text):
@@ -77,6 +78,31 @@ def test_freespace_runs_both_schemes_without_the_shape(tmp_path, capsys):
         assert [r.split(",")[0] for r in rows[1:]] == ["16", "24"]
 
 
+def test_freespace_tabulates_a_failed_grid_and_exits_1(tmp_path, capsys,
+                                                       monkeypatch):
+    run = analysis.run_simulation
+
+    def plain_blows_up_at_16(config, n=None, **kwargs):
+        if config.scheme == "plain" and n == 16:
+            raise StabilityError(2, 0.1)
+        return run(config, n=n, **kwargs)
+
+    monkeypatch.setattr(analysis, "run_simulation", plain_blows_up_at_16)
+    config = write_config(tmp_path, "grid_sizes = 16, 24\nfinal_time = 0.2\n"
+                                    "cfl = 0.6\n")
+    assert run_cli(tmp_path, "freespace", config) == 1
+    captured = capsys.readouterr()
+    assert "free space, scheme=plain" in captured.out
+    assert "free space, scheme=bfecc" in captured.out
+    assert "error: 1 grid(s) failed" in captured.err.splitlines()
+    rows = {name: (tmp_path / "out" / name).read_text().splitlines()[1:]
+            for name in ("freespace_plain.csv", "freespace_bfecc.csv")}
+    assert rows["freespace_plain.csv"][0] == (
+        "16,,,,,,failed: non-finite field values after step 2 (t=0.1)")
+    assert [r.split(",")[-1] for r in rows["freespace_bfecc.csv"]] == [
+        "ok", "ok"]
+
+
 def test_freespace_rejects_a_cfl_unstable_for_the_plain_scheme(tmp_path, capsys):
     # cfl 1 suits the config's BFECC but not the plain column of the study
     config = write_config(tmp_path, "grid_sizes = 16, 24\nfinal_time = 0.2\n")
@@ -90,10 +116,14 @@ def test_convergence_in_a_worker_pool_writes_the_table(tmp_path, capsys):
                                     "final_time = 0.2\nparallel_grids = yes\n"
                                     "threads = 2\n")
     assert run_cli(tmp_path, "convergence", config) == 0
-    assert "reference 80^2" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "reference 80^2" in printed
     out = tmp_path / "out"
     assert sorted(p.name for p in out.iterdir()) == ["convergence.csv",
                                                      "convergence.txt"]
+    assert (out / "convergence.txt").read_text() == printed
+    rows = (out / "convergence.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["30", "40"]
 
 
 def test_output_dir_under_a_file_exits_1(tmp_path, capsys):

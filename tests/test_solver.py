@@ -187,6 +187,44 @@ class TestOuterBoundary:
         assert np.all(s.hx[ring] == 0.0)
 
 
+class TestFortranOrderedFields:
+    """A flat view of a Fortran-ordered array is a copy, so the stepper's
+    writes through it would be lost; a state refuses such arrays."""
+
+    @pytest.fixture(scope="class")
+    def stepper(self):
+        return circle_stepper(60)
+
+    @staticmethod
+    def fortran_wave(x, y, t):
+        return tuple(map(np.asfortranarray, PLANE_WAVE(x, y, t)))
+
+    def test_sweep_into_a_fortran_ordered_out(self, stepper):
+        s = plane_wave_state(stepper.grid)
+        with pytest.raises(ValueError, match="FieldState.hx must be C-"):
+            stepper.sweep(s, 0.01, out=FieldState(
+                *self.fortran_wave(stepper.grid.x, stepper.grid.y, 0.0)))
+
+    def test_enforce_boundary_on_a_fortran_ordered_ez(self, stepper):
+        hx, hy, ez = PLANE_WAVE(stepper.grid.x, stepper.grid.y, 0.0)
+        with pytest.raises(ValueError, match="FieldState.ez must be C-"):
+            stepper.enforce_boundary(FieldState(hx, hy, np.asfortranarray(ez)))
+
+    def test_outer_boundary_on_a_fortran_ordered_state(self, stepper):
+        zeros = np.zeros(stepper.grid.shape, order="F")
+        with pytest.raises(ValueError, match="FieldState.hx must be C-"):
+            stepper.apply_outer_boundary(
+                FieldState(zeros, zeros.copy(order="F"),
+                           zeros.copy(order="F"), 0.25))
+
+    def test_initial_state_from_fortran_ordered_boundary_data(self):
+        grid, classes, fits, ls = circle_geometry(60)
+        st = MaxwellStepper(grid, classes, fits, self.fortran_wave,
+                            extender=GhostExtender(grid, ls, classes, fits))
+        with pytest.raises(ValueError, match="FieldState.hx must be C-"):
+            st.initial_state()
+
+
 class TestBfeccStep:
     def test_constant_state_is_fixed_point_interior(self):
         grid, st = free_space_stepper(40)
