@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import ConfigError
 from .grid import NodeClass
 from .solver import FieldState, SimulationSetup, incident_wave, run_simulation
 
@@ -177,14 +178,15 @@ def convergence_study(config, executor: Optional[ProcessPoolExecutor] = None
     With an ``executor``, every grid is submitted before the reference."""
     sizes = list(config.grid_sizes)
     if len(sizes) < 2:
-        raise AnalysisError("convergence study needs at least 2 grid sizes")
+        raise ConfigError("grid_sizes: convergence study needs at least 2 "
+                          "grid sizes")
     if config.reference_size < 2 * max(sizes):
-        raise AnalysisError(
-            f"reference_size {config.reference_size} must be at least twice "
+        raise ConfigError(
+            f"reference_size: {config.reference_size} must be at least twice "
             f"the largest study grid {max(sizes)}")
     if config.make_shape() is None:
-        raise AnalysisError("convergence_study needs a PEC shape; "
-                            "use the free-space study for shape = none")
+        raise ConfigError("shape: convergence_study needs a PEC shape; "
+                          "use the free-space study for shape = none")
 
     coarsest_dx = config.domain().width / (min(sizes) - 1)
     runs = {n: (partial(_run_one, config, n) if executor is None
@@ -224,7 +226,7 @@ def freespace_study(config) -> ErrorReport:
     """Plane-wave accuracy ladder in free space (no PEC), measured against
     the analytic solution rather than a reference grid."""
     if config.make_shape() is not None:
-        raise AnalysisError("free-space study requires shape = none")
+        raise ConfigError("shape: free-space study requires shape = none")
     runs = {n: partial(_run_one, config, n) for n in config.grid_sizes}
 
     def plane_wave_errors(state, setup):

@@ -175,6 +175,7 @@ def _parse_value(key: str, text: str):
 
 def parse_config_text(text: str) -> SimulationConfig:
     cfg = SimulationConfig()
+    seen = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -187,6 +188,9 @@ def parse_config_text(text: str) -> SimulationConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
+        if seen.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"line {lineno}: {key!r} already set on line "
+                              f"{seen[key]}")
         setattr(cfg, key, _parse_value(key, value))
     return cfg.validate()
 

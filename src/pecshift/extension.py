@@ -24,7 +24,7 @@ import numpy as np
 
 from .grid import GridError, GridTopology, NodeClass
 from .levelset import LevelSetData
-from .stencil import FitTable, neighbor_flat_offsets
+from .stencil import FitTable
 
 
 def decompose(hx: np.ndarray, hy: np.ndarray, ls: LevelSetData):
@@ -135,16 +135,10 @@ class GhostExtender:
         (value_src, self.value_w), (dn_src, self.dn_w) = _causal_rows(
             g, grid, ls.phi, ls.phi <= 0.0, ls.phi < 0.0)
 
-        # Derivative sources and their 5-point stencils; ring nodes have
-        # no fit, so they get zero weights and read only themselves.
+        # Derivative sources and their 5-point stencils
         centers, inverse = np.unique(dn_src, return_inverse=True)
         self.dn_idx = inverse.reshape(dn_src.shape)
-        fitted = _flat(fits.valid)[centers]
-        stencil = np.where(fitted,
-                           centers + neighbor_flat_offsets(grid.ny)[:, None],
-                           centers)
-        wc = np.zeros((3, 5, centers.size))
-        wc[:, :, fitted] = fits.weights_at(centers[fitted])
+        stencil, wc = fits.stencil(centers)
         self.dn_op = (_flat(ls.normal_x)[centers] * wc[0]
                       + _flat(ls.normal_y)[centers] * wc[1])
 

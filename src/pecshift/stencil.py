@@ -9,7 +9,8 @@ difference and the 5-point average with constant weights; least-squares
 weights are solved and stored once per geometry only for the band of
 nodes whose stencil touches a shifted node.
 
-Stencil value order is ``(C, E, W, N, S)`` throughout.
+Stencil value order is ``(C, E, W, N, S)`` throughout. ``FitTable`` alone
+knows it and the ring rule, and ``FitTable.stencil`` hands out both.
 """
 
 from __future__ import annotations
@@ -74,11 +75,12 @@ class FitTable:
     for the band of nodes whose stencil touches a shifted node.
 
     Operators exist on the interior (nodes with all four neighbors); the
-    outer ring has none, applies write zeros there, and callers handle it
-    analytically. An interior stencil that touches no shifted node is the
-    lattice's own, so its fit is the exact central difference / 5-point
-    average and needs no storage: ``w`` is ``(3, 5, m)`` over the ``m``
-    band nodes ``band`` (flat indices), and empty in free space.
+    outer ring has none: applies write zeros there, :meth:`stencil` gives a
+    ring node itself at weight zero, and callers handle it analytically.
+    An interior stencil that touches no shifted node is the lattice's own,
+    so its fit is the exact central difference / 5-point average and needs
+    no storage: ``w`` is ``(3, 5, m)`` over the ``m`` band nodes ``band``
+    (flat indices), and empty in free space.
 
     Applies run over ``blocks``: the flat range from node (1, 1) to
     (nx-2, ny-2) cut once, at build time, into ``(lo, hi)`` pieces of at
@@ -108,7 +110,7 @@ class FitTable:
         self.uniform[1, 3:5] = 0.5 / dy, -0.5 / dy
         self.uniform[2] = 0.2
         ny = valid.shape[1]
-        offsets = neighbor_flat_offsets(ny)
+        self._offsets = offsets = neighbor_flat_offsets(ny)
         # Per row: the magnitude c of its nonzero uniform weights, the flat
         # offsets c*u spans, and each term's start in c*u with the ufunc
         # that adds it (np.add) or subtracts it (np.subtract).
@@ -138,13 +140,11 @@ class FitTable:
         interior[1:-1, 1:-1] = True
         band = np.flatnonzero((grid.shifted | neighbor_or(grid.shifted))
                               & interior)
-        bi, bj = np.unravel_index(band, grid.shape)
-        offs = np.empty((band.size, 5, 2))
-        for k, (di, dj) in enumerate(STENCIL_OFFSETS):
-            offs[:, k, 0] = grid.x[bi + di, bj + dj] - grid.x[bi, bj]
-            offs[:, k, 1] = grid.y[bi + di, bj + dj] - grid.y[bi, bj]
+        nbr = band + neighbor_flat_offsets(grid.ny)[:, None]
+        x, y = grid.x.reshape(-1), grid.y.reshape(-1)
+        offs = np.stack((x[nbr] - x[band], y[nbr] - y[band]), axis=2)
         try:
-            w = _weights_batch(offs)
+            w = _weights_batch(offs.transpose(1, 0, 2))
         except DegenerateStencilError as err:
             raise DegenerateStencilError(
                 f"degenerate stencil in shifted band: {err}") from err
@@ -218,21 +218,19 @@ class FitTable:
         """Fitted (averaged) value over the interior; zeros on the ring."""
         return self._apply(2, u, out, block)
 
-    def weights_at(self, flat) -> np.ndarray:
-        """Weights ``(3, 5, ...)`` of the interior nodes with C-order flat
-        indices ``flat``: stored for band nodes, uniform elsewhere."""
-        shape = np.shape(flat)
-        flat = np.asarray(flat, dtype=np.intp).ravel()
+    def stencil(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbours ``(5, m)`` and weights ``(3, 5, m)`` of the nodes with
+        C-order flat indices ``flat`` (1-D): stored weights for band nodes,
+        uniform elsewhere. A ring node has no fit, so it reads itself at
+        weight zero, the same rule as the applies' zeros on the ring."""
         ring = ~self.valid.reshape(-1)[flat]
-        if ring.any():
-            i, j = np.unravel_index(flat[ring][0], self.valid.shape)
-            raise DegenerateStencilError(f"node ({i}, {j}) has no fit operator")
-        w = np.repeat(self.uniform[:, :, None], flat.size, axis=2)
+        nbr = np.where(ring, flat, flat + self._offsets[:, None])
+        w = np.where(ring, 0.0, self.uniform[:, :, None])
         pos = np.searchsorted(self.band, flat)
         hit = pos < self.band.size
         hit[hit] = self.band[pos[hit]] == flat[hit]
         w[:, :, hit] = self.w[:, :, pos[hit]]
-        return w.reshape((3, 5) + shape)
+        return nbr, w
 
 
 def split_blocks(lo: int, hi: int, min_len: int) -> list:
@@ -248,4 +246,4 @@ def split_blocks(lo: int, hi: int, min_len: int) -> list:
 
 def neighbor_flat_offsets(ny: int) -> np.ndarray:
     """Flat-index offsets of (C, E, W, N, S) for C-ordered (nx, ny) arrays."""
-    return np.array([0, ny, -ny, 1, -1], dtype=np.intp)
+    return np.array([di * ny + dj for di, dj in STENCIL_OFFSETS], dtype=np.intp)

@@ -11,7 +11,7 @@ from pecshift import analysis
 from pecshift.analysis import (AnalysisError, ErrorReport, convergence_study,
                                freespace_study, interpolate_reference,
                                observed_orders, sampling_mask)
-from pecshift.config import SimulationConfig
+from pecshift.config import ConfigError, SimulationConfig
 from pecshift.grid import NodeClass, build_uniform_grid
 from pecshift.shapes import Domain
 from pecshift.solver import FieldState, StabilityError
@@ -106,6 +106,10 @@ class TestErrorReport:
         assert rows[2] == ["100", "", "", "", "", "", f"failed: {reason}"]
 
 
+def no_run(*args, **kwargs):
+    raise AssertionError("a simulation ran")
+
+
 @pytest.mark.parametrize("overrides, message", [
     (dict(grid_sizes=(100,)), "at least 2 grid sizes"),
     (dict(grid_sizes=(100, 200), reference_size=300), "at least twice"),
@@ -114,12 +118,17 @@ class TestErrorReport:
 ])
 def test_convergence_study_rejects_arguments_before_running(
         monkeypatch, overrides, message):
-    def no_run(*args, **kwargs):
-        raise AssertionError("a simulation ran")
-
     monkeypatch.setattr(analysis, "run_simulation", no_run)
-    with pytest.raises(AnalysisError, match=message):
+    with pytest.raises(ConfigError, match=message) as info:
         convergence_study(SimulationConfig(**overrides))
+    # the message starts with the key at fault, one the case set
+    assert str(info.value).partition(":")[0] in overrides
+
+
+def test_freespace_study_rejects_a_pec_shape(monkeypatch):
+    monkeypatch.setattr(analysis, "run_simulation", no_run)
+    with pytest.raises(ConfigError, match="^shape: .*requires shape = none"):
+        freespace_study(SimulationConfig(shape="circle"))
 
 
 TINY_STUDY = SimulationConfig(grid_sizes=(30, 40), reference_size=80,

@@ -28,6 +28,28 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "unknown key 'bogus'" in capsys.readouterr().err
 
 
+def test_repeated_key_exits_2_before_running(tmp_path, capsys):
+    config = write_config(tmp_path, "grid_size = 60\ngrid_size = 70\n")
+    assert run_cli(tmp_path, "run", config) == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: 'grid_size' already set on line 1\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_convergence_without_a_shape_exits_2(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a simulation ran")
+
+    monkeypatch.setattr(analysis, "run_simulation", no_run)
+    config = write_config(tmp_path, "shape = none\ngrid_sizes = 30, 40\n"
+                                    "reference_size = 80\nfinal_time = 0.2\n")
+    assert run_cli(tmp_path, "convergence", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: shape: convergence_study needs a PEC shape")
+    assert len(err.splitlines()) == 1
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_run_writes_results_and_snapshots(tmp_path):
     # dt = 0.25 * 10/29: three steps to T = 0.2, the last one shortened
     config = write_config(tmp_path, "grid_size = 30\nfinal_time = 0.2\n"

@@ -39,6 +39,18 @@ class TestParseConfigText:
         with pytest.raises(ConfigError, match=f"^{key}: "):
             parse_config_text(line + "\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("grid_size = 60\ngrid_size = 70\n",
+         "line 2: 'grid_size' already set on line 1"),
+        ("shape = circle\n# shape = none\n\nshape = circle\n",
+         "line 4: 'shape' already set on line 1"),
+        ("cfl = 0.5\nfinal_time = 1\ncfl=0.5  # again\n",
+         "line 3: 'cfl' already set on line 1"),
+    ])
+    def test_repeated_key_names_both_lines(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config_text(text)
+
     @pytest.mark.parametrize("sizes", ["100, 100, 200", "200, 100"])
     def test_grid_sizes_must_strictly_increase(self, sizes):
         with pytest.raises(ConfigError, match="^grid_sizes: .*strictly increasing"):

@@ -173,6 +173,33 @@ def assert_rows_bitwise(rows, reference):
     assert np.array_equal(w.view(np.int64), ref_w.view(np.int64))
 
 
+def assert_positions_and_operator_bitwise(ext, grid, fits, ls, reference):
+    """``nodes`` and the positions into it as unique + searchsorted build
+    them, and ``dn_op`` from the uniform weights repeated, the band's
+    overwritten and ring centres zeroed, each ring centre reading only
+    itself."""
+    (value_src, _), (dn_src, _) = reference
+    centers = np.unique(dn_src)
+    fitted = fits.valid.ravel()[centers]
+    stencil = np.where(fitted,
+                       centers + neighbor_flat_offsets(grid.ny)[:, None],
+                       centers)
+    nodes = np.unique(np.concatenate((value_src.ravel(), stencil.ravel())))
+    assert np.array_equal(ext.nodes, nodes)
+    assert np.array_equal(ext.value_idx, np.searchsorted(nodes, value_src))
+    assert np.array_equal(ext.dn_nbr, np.searchsorted(nodes, stencil))
+
+    w = np.repeat(fits.uniform[:, :, None], centers.size, axis=2)
+    in_band = np.isin(centers, fits.band)
+    w[:, :, in_band] = fits.w[:, :, np.searchsorted(fits.band,
+                                                    centers[in_band])]
+    w[:, :, ~fitted] = 0.0
+    dn_op = (ls.normal_x.ravel()[centers] * w[0]
+             + ls.normal_y.ravel()[centers] * w[1])
+    assert ext.dn_op.shape == dn_op.shape
+    assert np.array_equal(ext.dn_op.view(np.int64), dn_op.view(np.int64))
+
+
 class TestCausalRowOracle:
     """The shared-pair, flat-indexed rows against the reference recursion."""
 
@@ -190,19 +217,19 @@ class TestCausalRowOracle:
             assert_rows_bitwise(got, ref)
         assert_rows_bitwise((ext.nodes[ext.value_idx], ext.value_w),
                             reference[0])
+        assert_positions_and_operator_bitwise(ext, grid, setup.fits, setup.ls,
+                                              reference)
 
-        # nodes and positions as unique + searchsorted built them
-        value_src, dn_src = reference[0][0], reference[1][0]
-        centers = np.unique(dn_src)
-        stencil = np.where(setup.fits.valid.ravel()[centers],
-                           centers + neighbor_flat_offsets(grid.ny)[:, None],
-                           centers)
-        nodes = np.unique(np.concatenate((value_src.ravel(),
-                                          stencil.ravel())))
-        assert np.array_equal(ext.nodes, nodes)
-        assert np.array_equal(ext.value_idx,
-                              np.searchsorted(nodes, value_src))
-        assert np.array_equal(ext.dn_nbr, np.searchsorted(nodes, stencil))
+    def test_planar_positions_and_operator_bitwise(self, planar_101,
+                                                   planar_extender_101):
+        # some derivative sources lie on the domain ring, which has no fit
+        grid, classes, fits, planar, *_ = planar_101
+        ext = planar_extender_101
+        reference = [reference_causal_rows(ext.ghost_flat, grid, planar.phi, m)
+                     for m in (planar.phi <= 0.0, planar.phi < 0.0)]
+        assert (~fits.valid.ravel()[reference[1][0]]).any()
+        assert_positions_and_operator_bitwise(ext, grid, fits, planar,
+                                              reference)
 
     def test_lattice_edge_neighbours(self, planar_101):
         # the planar fixture's ghosts reach the domain ring, so some

@@ -337,7 +337,8 @@ class TestStabilityBounds:
     @pytest.fixture(scope="class")
     def symbols(self):
         grid = build_uniform_grid(Domain(), 60, 60)
-        w = FitTable.build(grid).weights_at(30 * grid.ny + 30)
+        _, w = FitTable.build(grid).stencil(np.array([30 * grid.ny + 30]))
+        w = w[:, :, 0]
         theta = np.linspace(-np.pi, np.pi, 721)
         al, be = np.meshgrid(theta, theta, indexing="ij")
         phase = [np.exp(1j * (di * al + dj * be)) for di, dj in STENCIL_OFFSETS]

@@ -158,13 +158,15 @@ class TestFitTable:
         grid, _, fits, _ = circle_geometry(100)
         bi, bj = np.nonzero(grid.shifted)
         i, j = int(bi[0]), int(bj[0])
-        np.testing.assert_allclose(fits.weights_at(i * grid.ny + j),
+        _, w = fits.stencil(np.array([i * grid.ny + j]))
+        np.testing.assert_allclose(w[:, :, 0],
                                    fit_weights(stencil_points(grid, i, j)),
                                    rtol=0, atol=1e-12)
 
     def test_unshifted_nodes_use_exact_central_weights(self):
         grid, _, fits, _ = circle_geometry(100)
-        w = fits.weights_at(3 * grid.ny + 3)
+        _, w = fits.stencil(np.array([3 * grid.ny + 3]))
+        w = w[:, :, 0]
         assert w[0, 1] == 0.5 / grid.dx and w[0, 2] == -0.5 / grid.dx
         assert w[1, 3] == 0.5 / grid.dy and w[1, 4] == -0.5 / grid.dy
         assert np.all(w[2] == 0.2)
@@ -219,11 +221,23 @@ class TestFitTable:
             fits.value(g.x, np.empty(500), 2)
 
     def test_no_operator_on_ring(self):
+        # a ring node has no fit: its stencil reads itself at weight zero,
+        # so it sums to the zeros the applies write on the ring
         g = build_uniform_grid(Domain(), 16, 16)
         fits = FitTable.build(g)
-        assert not fits.valid[0, 5]
-        with pytest.raises(DegenerateStencilError, match=r"\(0, 5\) has no fit operator"):
-            fits.weights_at(5)
+        ring = np.flatnonzero(~fits.valid)
+        assert ring.size == 4 * 15
+        nodes = np.concatenate((ring, [3 * g.ny + 3]))
+        nbr, w = fits.stencil(nodes)
+        assert nbr.shape == (5, nodes.size) and w.shape == (3, 5, nodes.size)
+        assert np.array_equal(nbr[:, :-1], np.broadcast_to(ring, (5, ring.size)))
+        assert np.array_equal(nbr[:, -1], 3 * g.ny + 3 + neighbor_flat_offsets(g.ny))
+        assert not w[:, :, :-1].any()
+        assert np.array_equal(w[:, :, -1], fits.uniform)
+        u = np.random.default_rng(5).normal(size=g.shape)
+        for row, apply in enumerate((fits.ddx, fits.ddy, fits.value)):
+            summed = (w[row] * u.ravel()[nbr]).sum(axis=0)
+            assert np.array_equal(summed[:-1], apply(u).ravel()[ring])
 
 
 GEOMETRIES = [("circle", 40), ("circle", 97), ("circle", 200),
@@ -258,11 +272,20 @@ class TestWeightsAt:
         rng = np.random.default_rng(11)
         uniform = np.setdiff1d(np.flatnonzero(fits.valid), fits.band)
         nodes = np.concatenate((fits.band, rng.choice(uniform, 40, replace=False)))
-        got = fits.weights_at(nodes)
+        nbr, got = fits.stencil(nodes)
         assert got.shape == (3, 5, nodes.size)
+        assert np.array_equal(nbr, nodes + neighbor_flat_offsets(grid.ny)[:, None])
         for k, p in enumerate(nodes):
             want = fit_weights(stencil_points(grid, *divmod(int(p), grid.ny)))
             np.testing.assert_allclose(got[:, :, k], want, rtol=0, atol=1e-12)
+
+    def test_stencil_of_the_band_is_the_stored_table(self, fit_table):
+        grid, fits = fit_table
+        nbr, w = fits.stencil(fits.band)
+        assert nbr.dtype == np.intp
+        assert np.array_equal(nbr, fits.band + neighbor_flat_offsets(grid.ny)[:, None])
+        assert w.shape == fits.w.shape
+        assert np.array_equal(w.view(np.int64), fits.w.view(np.int64))
 
     @pytest.mark.parametrize("row, name", [(0, "ddx"), (1, "ddy"), (2, "value")])
     def test_apply_is_the_sequential_weighted_sum(self, fit_table, row, name):
@@ -301,7 +324,7 @@ def assert_sequential_weighted_sum(grid, fits, row, name):
     picks = rng.random(grid.shape) < 0.3
     edges[picks] = rng.choice(extremes, picks.sum())
     interior = np.flatnonzero(fits.valid)
-    w = fits.weights_at(interior)[row]
+    w = fits.stencil(interior)[1][row]
     nbr = interior + neighbor_flat_offsets(grid.ny)[:, None]
     skipped = (w == 0) & ~np.isin(interior, fits.band)
     apply = getattr(fits, name)
