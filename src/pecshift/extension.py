@@ -12,10 +12,13 @@ discretization (Aslam, J. Comput. Phys. 2004): a node takes
 ``q = sum_a w_a q(nb_a) / sum_a w_a`` over the two lattice axes, where
 ``nb_a`` is the neighbour of smaller phi on axis ``a`` and
 ``w_a = (phi(node) - phi(nb_a)) / |x(node) - x(nb_a)|^2`` in shifted
-coordinates. phi strictly decreases along every dependency, so the
-system is triangular; each ghost's row is resolved once per geometry
-down to frozen source nodes (phi <= 0 for field values, phi < 0 for
-normal derivatives), and sources are only ever read.
+coordinates. Where neither axis has a neighbour of smaller phi (a wall
+node level with its axis neighbours), the sum runs over the diagonal
+neighbours of smaller phi instead, with the same weights (Sethian, Level
+Set Methods and Fast Marching Methods, 1999). phi strictly decreases
+along every dependency, so the system is triangular; each ghost's row is
+resolved once per geometry down to frozen source nodes (phi <= 0 for field
+values, phi < 0 for normal derivatives), and sources are only ever read.
 """
 
 from __future__ import annotations
@@ -54,31 +57,39 @@ def _causal_rows(targets: np.ndarray, grid: GridTopology, phi: np.ndarray,
     """Rows ``(idx, weights)`` of shape ``(len(targets), k)`` per frozen
     mask: each target's upwind-extended value as a convex combination of
     frozen nodes (flat indices), short rows padded with their first source
-    at weight zero. The masks share each node's upwind pairs. Python-float
-    ``** 2`` is libm ``pow``, as on NumPy scalars; an array's is not."""
+    at weight zero. The masks share each node's upwind pairs, which are
+    diagonal only where no axis has a neighbour of smaller phi.
+    Python-float ``** 2`` is libm ``pow``, as on NumPy scalars; an
+    array's is not."""
     nx, ny = grid.nx, grid.ny
     phi_at, x_at, y_at = phi.item, grid.x.item, grid.y.item
     pairs: dict = {}
 
     def upwind(p: int) -> list:
         """On-lattice neighbour of smaller phi on each axis (W, S on ties),
-        with its weight over the node's total."""
+        or else every diagonal neighbour of smaller phi, each with its
+        weight over the node's total."""
         if p not in pairs:
             i, j = divmod(p, ny)
             f, x, y = phi_at(p), x_at(p), y_at(p)
+            axes = ((p - ny, p + ny)[i == 0:1 + (i < nx - 1)],
+                    (p - 1, p + 1)[j == 0:1 + (j < ny - 1)])
             up = []
-            for axis in ((p - ny, p + ny)[i == 0:1 + (i < nx - 1)],
-                         (p - 1, p + 1)[j == 0:1 + (j < ny - 1)]):
+            for axis in axes:
                 fq, q = min([(phi_at(q), q) for q in axis])
                 if fq < f:
-                    up.append((q, (f - fq) / ((x_at(q) - x) ** 2
-                                              + (y_at(q) - y) ** 2)))
+                    up.append((fq, q))
+            if not up:  # the diagonal neighbours p +- ny +- 1
+                up = [(fq, q) for a in axes[0] for b in axes[1]
+                      if (fq := phi_at(q := a + b - p)) < f]
             if not up:
                 raise GridError(f"node ({i}, {j}) has no upwind neighbour "
                                 "to extend from; geometry too thin to extend "
                                 "into at this resolution")
-            total = sum(w for _, w in up)
-            pairs[p] = [(q, w / total) for q, w in up]
+            w = [(f - fq) / ((x_at(q) - x) ** 2 + (y_at(q) - y) ** 2)
+                 for fq, q in up]
+            total = sum(w)
+            pairs[p] = [(q, wq / total) for (_, q), wq in zip(up, w)]
         return pairs[p]
 
     def solve(is_frozen) -> tuple:

@@ -1,8 +1,8 @@
 """Signed distance function to the PEC boundary, with unit normals.
 
 phi is positive inside the PEC object and exactly zero at shifted
-(boundary) nodes. Every boundary is made of arcs of the shape's circles
-meeting at its corners, so phi and its unit gradient come in closed form
+(boundary) nodes. Every boundary is made of the shape's arcs meeting at
+its corners, so phi and its unit gradient come in closed form
 from the nearest of these features. Normals point along grad(phi), i.e.
 into the PEC; the tangent is derived where needed as the normal rotated
 clockwise by pi/2, t = (n_y, -n_x), and not stored. The normal is exact
@@ -50,8 +50,8 @@ def gradient_with_edges(phi: np.ndarray, grid: GridTopology, fits: FitTable):
 
 def _nearest_feature(shape: Shape, x: np.ndarray, y: np.ndarray):
     """Distance from each point to the boundary of ``shape``, and the
-    nearest feature: k for the arc on ``shape.circles[k]``,
-    ``len(shape.circles) + m`` for corner m.
+    nearest feature: k for the arc ``shape.arcs[k]``,
+    ``len(shape.arcs) + m`` for corner m.
 
     An arc counts where its circle's nearest point lies on the boundary,
     at distance |rho - r| (Osher & Fedkiw, Level Set Methods, 2003,
@@ -60,7 +60,7 @@ def _nearest_feature(shape: Shape, x: np.ndarray, y: np.ndarray):
     """
     dist = np.full(x.shape, np.inf)
     feature = np.zeros(x.shape, dtype=np.int8)
-    for k, c in enumerate(shape.circles):
+    for k, (c, _) in enumerate(shape.arcs):
         ex, ey = x - c.cx, y - c.cy
         rho = np.hypot(ex, ey)
         centre = rho == 0.0
@@ -75,7 +75,7 @@ def _nearest_feature(shape: Shape, x: np.ndarray, y: np.ndarray):
         nearer = on_boundary(shape, ex, ey) & (np.abs(rho, out=rho) < dist)
         np.copyto(dist, rho, where=nearer)
         feature[nearer] = k
-    for m, (px, py) in enumerate(shape.corners, start=len(shape.circles)):
+    for m, (px, py) in enumerate(shape.corners, start=len(shape.arcs)):
         d = np.hypot(x - px, y - py)
         feature[(d < dist) & (d > 0.0)] = m
         np.minimum(dist, d, out=dist)
@@ -105,20 +105,20 @@ def compute_normals_tangents(shape: Shape, phi: np.ndarray,
     feature where |phi| <= FRAME_BAND h; zero elsewhere. The clockwise
     tangent t = (n_y, -n_x) is derived from it by its readers.
 
-    ``circles[0]`` encloses the shape, so n = -(x - c)/rho on its arc;
-    the other circles are cut out, so n = +(x - c)/rho on theirs. Near a
-    corner p, n = sign(level) (x - p)/|x - p|.
+    On an arc ``(c, side)`` of ``shape.arcs``, n = -side (x - c)/rho: into
+    c where the PEC lies inside it (+1), out of c where c is cut out of
+    the PEC (-1). Near a corner p, n = sign(level) (x - p)/|x - p|.
     """
     band = np.abs(phi) <= FRAME_BAND * max(grid.dx, grid.dy)
     x, y = grid.x[band], grid.y[band]
     feature = _nearest_feature(shape, x, y)[1]
-    points = np.array([(c.cx, c.cy) for c in shape.circles]
-                      + list(shape.corners))
-    ex, ey = x - points[feature, 0], y - points[feature, 1]
+    points = np.array([(c.cx, c.cy, -side) for c, side in shape.arcs]
+                      + [(px, py, 0.0) for px, py in shape.corners])
+    px, py, sign = points[feature].T
+    ex, ey = x - px, y - py
     d = np.hypot(ex, ey)
     ex[d == 0.0], d[d == 0.0] = 1.0, 1.0  # a circle's centre: +x
-    sign = np.where(feature == 0, -1.0, 1.0)
-    corner = feature >= len(shape.circles)
+    corner = feature >= len(shape.arcs)
     sign[corner] = np.sign(shape.level(x[corner], y[corner]))
     nx_, ny_ = np.zeros(grid.shape), np.zeros(grid.shape)
     nx_[band], ny_[band] = sign * ex / d, sign * ey / d

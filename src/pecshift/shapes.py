@@ -2,7 +2,8 @@
 
 Shapes are closed curves with an interior. Supported: a circle, and a
 "half moon" crescent (outer disk minus a cutter disk, bounded by two arcs
-meeting at two sharp corners). ``None`` stands for free space.
+meeting at two sharp corners). ``None`` stands for free space. A shape's
+``arcs`` (see ``Shape``) are the one place that says which side is PEC.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class Circle:
         return self.r - np.hypot(x - self.cx, y - self.cy)
 
     @property
-    def circles(self) -> tuple["Circle", ...]:
-        return (self,)
+    def arcs(self) -> tuple[tuple["Circle", float], ...]:
+        return ((self, 1.0),)
 
     @property
     def corners(self) -> np.ndarray:
@@ -67,11 +68,11 @@ class HalfMoon:
         the crescent. Its sign is exact, but its magnitude is a distance
         to a whole circle, not to the arc of it that bounds the crescent;
         ``levelset.redistance`` computes the signed distance."""
-        return np.minimum(self.outer.level(x, y), -self.cutter.level(x, y))
+        return np.minimum(*(side * c.level(x, y) for c, side in self.arcs))
 
     @property
-    def circles(self) -> tuple[Circle, ...]:
-        return (self.outer, self.cutter)
+    def arcs(self) -> tuple[tuple[Circle, float], ...]:
+        return ((self.outer, 1.0), (self.cutter, -1.0))
 
     @property
     def corners(self) -> np.ndarray:
@@ -91,10 +92,10 @@ class HalfMoon:
                          [mx + h * uy, my - h * ux]])
 
 
-# Either kind offers ``level(x, y)`` (positive inside), ``circles`` (the
-# circles its boundary arcs lie on: ``circles[0]`` encloses the shape and
-# every other one is cut out of it) and ``corners`` (the points where two
-# arcs meet).
+# Either kind offers ``level(x, y)`` (positive inside), ``arcs`` (a
+# ``(circle, side)`` pair per circle its boundary lies on: side +1 where
+# the PEC lies inside the circle, -1 where the circle is cut out of it)
+# and ``corners`` (the points where two arcs meet).
 Shape = Union[Circle, HalfMoon]
 
 
@@ -108,11 +109,11 @@ def validate_shape(shape: Optional[Shape], domain: Domain) -> None:
     edge."""
     if shape is None:
         return
-    for c in shape.circles:
+    for c, _ in shape.arcs:
         if c.r <= 0:
             raise ShapeError(f"circle radius must be positive, got {c.r}")
     shape.corners  # raises ShapeError if the crescent's disks do not cross
-    bound = shape.circles[0]
+    bound = next(c for c, side in shape.arcs if side > 0)
     clearance = edge_clearance(shape, domain)
     if clearance < bound.r / 2:
         raise ShapeError(
@@ -123,10 +124,10 @@ def validate_shape(shape: Optional[Shape], domain: Domain) -> None:
 def edge_clearance(shape: Shape, domain: Domain) -> float:
     """Minimum distance from the shape boundary to the domain edges.
 
-    The boundary lies on or inside the shape's first circle, so that
+    The boundary lies on or inside the circle of side +1, so that
     circle's clearance is a valid (conservative) bound.
     """
-    c = shape.circles[0]
+    c = next(c for c, side in shape.arcs if side > 0)
     return min(c.cx - domain.xmin, domain.xmax - c.cx,
                c.cy - domain.ymin, domain.ymax - c.cy) - c.r
 
@@ -162,13 +163,13 @@ def boundary_intersections(shape: Shape, xs: np.ndarray, ys: np.ndarray) -> np.n
     crescent's circles that do not bound it; the corners are appended.
     """
     pts = np.vstack([_circle_line_crossings(c, lines, axis)
-                     for c in shape.circles
+                     for c, _ in shape.arcs
                      for lines, axis in ((xs, 0), (ys, 1))])
     return np.vstack([pts[on_boundary(shape, pts[:, 0], pts[:, 1])],
                       shape.corners])
 
 
 def on_boundary(shape: Shape, x, y):
-    """Whether points on ``shape.circles`` bound it: |level| <= 1e-12 max r."""
-    tol = 1e-12 * max(c.r for c in shape.circles)
+    """Whether points on the arcs' circles bound it: |level| <= 1e-12 max r."""
+    tol = 1e-12 * max(c.r for c, _ in shape.arcs)
     return np.abs(shape.level(x, y)) <= tol

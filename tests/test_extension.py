@@ -124,10 +124,33 @@ class TestCausalRows:
         grid, classes, fits, planar, *_ = planar_101
         phi = planar.phi.copy()
         i, j = np.argwhere(classes == NodeClass.GHOST)[30]
-        phi[i - 1, j] = phi[i, j]  # level with the wall: nothing upwind
+        # level with the ghost: its wall-side neighbour and both diagonals
+        # there, so neither an axis nor a diagonal is upwind
+        phi[i - 1, j - 1:j + 2] = phi[i, j]
         ls = LevelSetData(phi, planar.normal_x, planar.normal_y)
         with pytest.raises(GridError, match=rf"node \({i}, {j}\)"):
             GhostExtender(grid, ls, classes, fits)
+
+    @pytest.mark.parametrize("which", [0, 30], ids=["lattice_edge", "interior"])
+    def test_diagonal_source_where_no_axis_is_upwind(self, planar_101, which):
+        # Level a ghost with the wall. Its west (wall) and south (where
+        # there is one) neighbours tie with it at phi = 0 and the others
+        # lie deeper, so no axis is upwind. Of its diagonals only the
+        # north-west one has phi < 0: it is the whole row in both masks.
+        grid, classes, fits, planar, *_ = planar_101
+        phi = planar.phi.copy()
+        i, j = np.argwhere(classes == NodeClass.GHOST)[which]
+        lo = max(j - 1, 0)
+        phi[i, j] = phi[i, lo] = 0.0
+        phi[i - 1, j + 1] = -0.5 * grid.dx
+        assert phi[i - 1, j] == phi[i - 1, lo] == 0.0
+        assert (phi[i, lo:j + 2] >= 0.0).all()
+        assert (phi[i + 1, lo:j + 2] > 0.0).all()
+        diagonal = (i - 1) * grid.ny + j + 1
+        target = np.array([i * grid.ny + j])
+        for idx, w in _causal_rows(target, grid, phi, phi <= 0.0, phi < 0.0):
+            assert idx.tolist() == [[diagonal]]
+            assert w.tolist() == [[1.0]]
 
 
 def reference_causal_rows(targets, grid, phi, frozen):

@@ -7,8 +7,8 @@ from pecshift.config import SimulationConfig
 from pecshift.extension import decompose
 from pecshift.grid import (NodeClass, apply_point_shift, build_uniform_grid,
                            classify_nodes)
-from pecshift.levelset import (FRAME_BAND, build_levelset, gradient_with_edges,
-                               redistance)
+from pecshift.levelset import (FRAME_BAND, _nearest_feature, build_levelset,
+                               gradient_with_edges, redistance)
 from pecshift.shapes import Circle, Domain, HalfMoon, boundary_intersections
 from pecshift.solver import build_setup
 from pecshift.stencil import FitTable
@@ -176,8 +176,8 @@ class TestRedistance:
         grid = moon_grid(101) if shape is MOON else circle_geometry(101)[0]
         centres = [(int(np.argmin(np.abs(grid.lattice_x() - c.cx))),
                     int(np.argmin(np.abs(grid.lattice_y() - c.cy))))
-                   for c in shape.circles]
-        for (i, j), c in zip(centres, shape.circles):
+                   for c, _ in shape.arcs]
+        for (i, j), (c, _) in zip(centres, shape.arcs):
             assert (grid.x[i, j], grid.y[i, j]) == (c.cx, c.cy)
         with np.errstate(all="raise"):
             phi = redistance(shape, grid)
@@ -264,6 +264,27 @@ class TestNormalsTangents:
         assert (nearest & match).any(axis=0).all()
         # both corners are the only nearest feature of some band nodes
         assert (nearest[2:] & ~nearest[:2].any(axis=0)).any(axis=1).all()
+
+    @pytest.mark.parametrize("kind, sides", [("circle", [1.0]),
+                                             ("half_moon", [1.0, -1.0])],
+                             ids=["circle", "half_moon"])
+    def test_arc_normals_point_to_the_pec_side(self, kind, sides):
+        # n = -side (x - c)/rho on every arc: into the enclosing circle,
+        # out of the one cut out of the PEC
+        shape = SimulationConfig(shape=kind).make_shape()
+        assert [side for _, side in shape.arcs] == sides
+        setup = build_setup(SimulationConfig(shape=kind), 200)
+        grid, ls = setup.grid, setup.ls
+        band = frame_band(grid, ls.phi)
+        x, y = grid.x[band], grid.y[band]
+        feature = _nearest_feature(shape, x, y)[1]
+        got = np.array([ls.normal_x[band], ls.normal_y[band]])
+        for k, ((c, _), side) in enumerate(zip(shape.arcs, sides)):
+            rho = np.hypot(x - c.cx, y - c.cy)
+            on = (feature == k) & (rho > 0.0)  # all but the circle's centre
+            assert on.sum() > 100
+            want = -side * np.array([x - c.cx, y - c.cy])[:, on] / rho[on]
+            np.testing.assert_allclose(got[:, on], want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n", [97, 99])
     def test_nodes_on_the_corners_take_an_arc_normal(self, n):

@@ -3,12 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from pecshift.grid import build_uniform_grid
 from pecshift.shapes import (Circle, Domain, HalfMoon, ShapeError,
                              boundary_intersections, edge_clearance,
                              validate_shape)
 
 CIRCLE = Circle(5.0, 5.0, 2.0)
 MOON = HalfMoon(Circle(5.0, 5.0, 2.0), Circle(6.2, 5.0, 2.0))
+
+
+class CutterFirst(HalfMoon):
+    """The same crescent with its arcs listed cutter first."""
+
+    @property
+    def arcs(self):
+        return tuple(reversed(super().arcs))
 
 
 def line_pts(shape, xs=(), ys=()):
@@ -69,6 +78,13 @@ class TestHalfMoon:
         for c in corners:
             assert np.min(np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])) < 1e-12
 
+    def test_level_is_the_csg_of_its_arcs_bitwise(self):
+        grid = build_uniform_grid(Domain(), 200, 200)
+        # the level as written before the arcs declared their sides
+        want = np.minimum(MOON.outer.level(grid.x, grid.y),
+                          -MOON.cutter.level(grid.x, grid.y))
+        assert MOON.level(grid.x, grid.y).tobytes() == want.tobytes()
+
     def test_interior_function_examples(self):
         # cutter center: min(2 - 1.2, -(2 - 0)) = -2 (outside the crescent)
         assert MOON.level(6.2, 5.0) == pytest.approx(-2.0)
@@ -103,6 +119,15 @@ class TestValidation:
     def test_edge_clearance_value(self):
         assert edge_clearance(CIRCLE, Domain()) == pytest.approx(3.0)
         assert edge_clearance(MOON, Domain()) == pytest.approx(3.0)
+
+    def test_edge_clearance_is_the_enclosing_circles(self):
+        # the cutter alone would read min(6.2, 3.8, 5, 5) - 2 = 1.8
+        cutter_first = CutterFirst(MOON.outer, MOON.cutter)
+        assert cutter_first.arcs[0] == (MOON.cutter, -1.0)
+        assert (edge_clearance(cutter_first, Domain())
+                == edge_clearance(MOON, Domain())
+                == edge_clearance(MOON.outer, Domain()) == 3.0)
+        validate_shape(cutter_first, Domain())
 
 
 def test_circle_signed_distance_sign_convention():
