@@ -1,5 +1,7 @@
 import dataclasses
+import os
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -115,9 +117,15 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(CASES))
-def test_files_match_the_per_node_writers_byte_for_byte(case, circle_run,
-                                                        tmp_path):
+# fork=False runs the in-process writer, the one path where os.fork does
+# not exist.
+@pytest.mark.parametrize("case, fork", [
+    *(pytest.param(case, True, id=case) for case in CASES),
+    *(pytest.param(case, False, id=f"{case}-in_process") for case in CASES)])
+def test_files_match_the_per_node_writers_byte_for_byte(case, fork, circle_run,
+                                                        tmp_path, monkeypatch):
+    if not fork:
+        monkeypatch.delattr(os, "fork")
     state, grid, phi, classes = CASES[case](circle_run)
     export_field(state, grid, phi, classes, tmp_path / "field.csv")
     oracle_field(state, grid, phi, classes, tmp_path / "field_oracle.csv")
@@ -130,6 +138,115 @@ def test_files_match_the_per_node_writers_byte_for_byte(case, circle_run,
         written = (tmp_path / name).read_bytes()
         assert written == (tmp_path / f"{stem}_oracle.{ext}").read_bytes(), name
         assert written.count(b"\n") > grid.ny
+
+
+def exporter_calls(state, grid, phi, classes, path):
+    return {
+        "field": lambda: export_field(state, grid, phi, classes, path),
+        "vtk": lambda: export_vtk(state, grid, phi, path),
+        "grid": lambda: export_grid(grid, classes, path),
+    }
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("exporter", ["field", "vtk", "grid"])
+def test_exporter_leaves_only_its_file_and_no_child(exporter, tmp_path):
+    path = tmp_path / "out.txt"
+    exporter_calls(*non_square_case(), path)[exporter]()
+    assert_no_child_left()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+class OneSideRows(np.ndarray):
+    """An array whose row reads raise or sleep (``action``) in the forked
+    writer alone (``side`` = "child") or in the test's own process alone
+    ("parent")."""
+    test_pid, side, action = 0, "child", "raise"
+
+    def __getitem__(self, key):
+        if (os.getpid() == self.test_pid) == (self.side == "parent"):
+            if self.action == "raise":
+                raise RuntimeError(f"injected fault in the {self.side}")
+            time.sleep(0.002)
+        return super().__getitem__(key)
+
+
+def one_side_case(monkeypatch, side, action):
+    """non_square_case with every array an exporter reads by rows viewed
+    as OneSideRows."""
+    monkeypatch.setattr(OneSideRows, "test_pid", os.getpid())
+    monkeypatch.setattr(OneSideRows, "side", side)
+    monkeypatch.setattr(OneSideRows, "action", action)
+    state, grid, phi, classes = non_square_case()
+    state = FieldState(*(a.view(OneSideRows) for a in
+                         (state.hx, state.hy, state.ez)), time=state.time)
+    grid = dataclasses.replace(grid, shifted=grid.shifted.view(OneSideRows))
+    return state, grid, phi.view(OneSideRows), classes
+
+
+@pytest.mark.parametrize("side", ["child", "parent"])
+@pytest.mark.parametrize("exporter", ["field", "vtk", "grid"])
+def test_a_writer_fault_leaves_no_side_file_and_no_child(exporter, side,
+                                                         tmp_path,
+                                                         monkeypatch):
+    path = tmp_path / "out.txt"
+    call = exporter_calls(*one_side_case(monkeypatch, side, "raise"),
+                          path)[exporter]
+    if side == "child":
+        with pytest.raises(OSError, match=re.escape(f"cannot write {path}: ")):
+            call()
+    else:
+        with pytest.raises(RuntimeError, match="injected fault in the parent"):
+            call()
+    assert_no_child_left()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("slow", ["child", "parent"])
+def test_files_are_the_same_whichever_process_formats_more(slow, tmp_path,
+                                                           monkeypatch):
+    # The slow process formats only its end chunk, or little more; the
+    # other claims the rest.
+    state, grid, phi, classes = one_side_case(monkeypatch, slow, "sleep")
+    export_field(state, grid, phi, classes, tmp_path / "field.csv")
+    export_vtk(state, grid, phi, tmp_path / "field.vtk")
+    export_grid(grid, classes, tmp_path / "grid.csv")
+    state, grid, phi, classes = non_square_case()
+    oracle_field(state, grid, phi, classes, tmp_path / "field_oracle.csv")
+    oracle_vtk(state, grid, phi, tmp_path / "field_oracle.vtk")
+    oracle_grid(grid, classes, tmp_path / "grid_oracle.csv")
+    for name in ("field.csv", "field.vtk", "grid.csv"):
+        stem, ext = name.split(".")
+        assert ((tmp_path / name).read_bytes()
+                == (tmp_path / f"{stem}_oracle.{ext}").read_bytes()), name
+
+
+@pytest.mark.parametrize("exporter, name, shape", [
+    pytest.param("field", "phi", (40, 41), id="field-phi-40x41"),
+    pytest.param("vtk", "phi", (40, 41), id="vtk-phi-40x41"),
+    pytest.param("vtk", "hx", (40, 45), id="vtk-fields-40x45"),
+    pytest.param("field", "hx", (39, 40), id="field-fields-39x40"),
+    pytest.param("grid", "classes", (40, 41), id="grid-classes-40x41"),
+])
+def test_a_misshapen_array_is_named_before_any_file_is_written(
+        exporter, name, shape, circle_run, tmp_path):
+    state, grid, phi, classes = circle_run
+    assert grid.shape == (40, 40)
+    if name == "phi":
+        phi = np.zeros(shape)
+    elif name == "classes":
+        classes = np.zeros(shape, dtype=np.int8)
+    else:
+        state = FieldState(*(np.zeros(shape) for _ in range(3)))
+    call = exporter_calls(state, grid, phi, classes, tmp_path / "out.txt")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} has shape {shape}, the grid (40, 40)")):
+        call[exporter]()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("code", [-1, -4, len(NodeClass), 127])
