@@ -50,6 +50,9 @@ class SimulationConfig:
       off; ``output_dir``: where results are written.
     - ``parallel_grids``: run the study grids in a pool of ``threads``
       worker processes. Booleans accept 1/0, true/false, yes/no, on/off.
+      ``threads`` sizes only that pool: a march uses a second CPU by
+      itself once its grid has two or more blocks
+      (``MaxwellStepper.lanes``).
     """
 
     domain_xmin: float = 0.0

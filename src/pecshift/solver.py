@@ -9,12 +9,21 @@ sweep. The initial state and the outer ring come from one boundary-data
 callable ``boundary_data(x, y, t) -> (hx, hy, ez)``; ``build_setup`` uses
 the analytic incident wave, valid while the scattered field cannot yet
 have reached the domain edge.
+
+Once the fit table has two or more blocks and the process may run on two
+or more CPUs, each sweep and each BFECC compensation runs in two lanes
+that meet in the middle: the calling thread and one helper thread, which
+is joined before the call returns, so no thread outlives it (forks of the
+exporters and pickling of the stepper see none). The results are bitwise
+those of one lane: every node's arithmetic is the same.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -24,9 +33,43 @@ from . import grid as lattice, levelset, shapes
 from .extension import GhostExtender
 from .grid import GridTopology, NodeClass
 from .levelset import LevelSetData
-from .stencil import FitTable
+from .stencil import LANES, FitTable
 
 logger = logging.getLogger(__name__)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has
+    one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_lanes(lanes: int, work: Callable[[int], object]) -> list:
+    """``[work(0), ..., work(lanes - 1)]``: lane 0 on this thread, lane 1
+    (when ``lanes`` is 2) on a helper thread that is joined before this
+    returns or raises. An exception of either lane is raised here as
+    itself, this thread's first."""
+    if lanes == 1:
+        return [work(0)]
+    helper: dict = {}
+
+    def run_helper():
+        try:
+            helper["result"] = work(1)
+        except BaseException as err:
+            helper["error"] = err
+
+    thread = threading.Thread(target=run_helper, name="pecshift-lane-1")
+    thread.start()
+    try:
+        mine = work(0)
+    finally:
+        thread.join()
+    if "error" in helper:
+        raise helper["error"]
+    return [mine, helper["result"]]
 
 
 class StabilityError(RuntimeError):
@@ -99,12 +142,18 @@ class MaxwellStepper:
             self._bnd_ny = extender.ls.normal_y.ravel()[self._bnd_flat].copy()
         elif self._bnd_flat.size:
             raise ValueError("boundary nodes present but no ghost extender")
-        # One derivative term of a sweep's block.
-        self._work = np.empty(max(hi - lo for lo, hi in fits.blocks))
-        # Two block-sized staging sets (hx, hy, ez) for a sweep's results.
-        self._stage = np.empty((2, 3, max(hi - lo for lo, hi in fits.blocks)))
+        # Per lane: one derivative term of a sweep's block, and two
+        # block-sized staging sets (hx, hy, ez) for a sweep's results.
+        longest = max(hi - lo for lo, hi in fits.blocks)
+        self._work = np.empty((LANES, longest))
+        self._stage = np.empty((LANES, 2, 3, longest))
 
     # -- elementary operations -------------------------------------------
+
+    def lanes(self) -> int:
+        """Lanes of a sweep and a compensation: 2 when the fit table has 2
+        or more blocks and this process may run on 2 or more CPUs, else 1."""
+        return 2 if len(self.fits.blocks) >= 2 and usable_cpus() >= 2 else 1
 
     def sweep(self, state: FieldState, dt: float,
               out: Optional[FieldState] = None) -> FieldState:
@@ -127,11 +176,18 @@ class MaxwellStepper:
         a block's inputs and results stay in cache through all seven
         applies. Each node takes the fitted value, then adds or subtracts
         ``dt`` times each derivative term in turn, whatever the blocks, so
-        the result is bitwise the whole-grid update. Block k is computed
-        into one of two staging sets, and block k-1 is written to ``out``
-        only once block k is done: block k+1 reads no node before
-        ``hi_k - ny``, and every block is at least a row (``ny`` nodes)
-        long, so no block reads a result. The kept nodes' values are
+        the result is bitwise the whole-grid update. The blocks are shared
+        by :meth:`lanes` lanes that meet in the middle: lane 0 (this
+        thread) claims blocks from the front (0, 1, ...), lane 1 (a helper
+        thread) from the back (K-1, K-2, ...), one claim at a time under a
+        lock, so the lane on the faster CPU takes more. A lane computes
+        each block into one of its own two staging sets and writes a block
+        to ``out`` only once it has computed the next: lane 0 writes k-1
+        after k, lane 1 writes k+1 after k, and each lane's last block is
+        written once both lanes are done. Every block is at least a row
+        (``ny`` nodes) long and reads only ``ny`` nodes either side of
+        itself, so a block is written only after both its neighbours have
+        read it, and no block reads a result. The kept nodes' values are
         gathered before the blocks and scattered back after them.
         """
         f = self.fits
@@ -140,31 +196,54 @@ class MaxwellStepper:
         results = [a.reshape(-1) for a in (out.hx, out.hy, out.ez)]
         kept = [a.reshape(-1)[self._keep_flat]
                 for a in (state.hx, state.hy, state.ez)]
+        ends = [0, len(f.blocks) - 1]  # next claim of lane 0 and of lane 1
+        claim_lock = threading.Lock()
 
-        def write_back(k):
+        def claim(lane):
+            with claim_lock:
+                if ends[0] > ends[1]:
+                    return None
+                k = ends[lane]
+                ends[lane] += 1 if lane == 0 else -1
+                return k
+
+        def write_back(lane, k):
             lo, hi = f.blocks[k]
-            for new, staged in zip(results, self._stage[k % 2]):
+            for new, staged in zip(results, self._stage[lane, k % 2]):
                 new[lo:hi] = staged[:hi - lo]
 
-        for k, (lo, hi) in enumerate(f.blocks):
-            work = self._work[:hi - lo]
+        def compute(lane, k):
+            lo, hi = f.blocks[k]
+            work = self._work[lane, :hi - lo]
 
             def term(apply, u):
-                g = apply(u, work, k)
+                g = apply(u, work, k, lane)
                 g *= dt
                 return g
 
-            hx, hy, ez = self._stage[k % 2, :, :hi - lo]
-            f.value(state.hx, hx, k)
-            f.value(state.hy, hy, k)
-            f.value(state.ez, ez, k)
+            hx, hy, ez = self._stage[lane, k % 2, :, :hi - lo]
+            f.value(state.hx, hx, k, lane)
+            f.value(state.hy, hy, k, lane)
+            f.value(state.ez, ez, k, lane)
             hx -= term(f.ddy, state.ez)
             hy += term(f.ddx, state.ez)
             ez += term(f.ddx, state.hy)
             ez -= term(f.ddy, state.hx)
-            if k:
-                write_back(k - 1)
-        write_back(len(f.blocks) - 1)
+
+        def run_lane(lane):
+            """Claim, compute and write back; return the last block, which
+            is not yet written."""
+            last = None
+            while (k := claim(lane)) is not None:
+                compute(lane, k)
+                if last is not None:
+                    write_back(lane, last)
+                last = k
+            return last
+
+        for lane, last in enumerate(_in_lanes(self.lanes(), run_lane)):
+            if last is not None:
+                write_back(lane, last)
 
         for new, old in zip(results, kept):
             new[self._keep_flat] = old
@@ -222,14 +301,23 @@ class MaxwellStepper:
         ghost extension reads only exterior and boundary nodes and
         rewrites every ghost before the last sweep reads it, and no
         sub-step writes a deep-interior node, so those are equal in ``u``
-        and ``back`` and keep their value."""
+        and ``back`` and keep their value. With two :meth:`lanes`, each
+        lane forms one half of the flat arrays."""
         fwd = self._substep(state, dt)
         back = self._substep(fwd, -dt, fwd)
-        for u, b in ((state.hx, back.hx), (state.hy, back.hy),
-                     (state.ez, back.ez)):
-            np.subtract(u, b, out=b)
-            b *= 0.5
-            b += u
+        lanes = self.lanes()
+        size = state.hx.size
+
+        def compensate(lane):
+            part = slice(size * lane // lanes, size * (lane + 1) // lanes)
+            for u, b in ((state.hx, back.hx), (state.hy, back.hy),
+                         (state.ez, back.ez)):
+                u, b = u.reshape(-1)[part], b.reshape(-1)[part]
+                np.subtract(u, b, out=b)
+                b *= 0.5
+                b += u
+
+        _in_lanes(lanes, compensate)
         back.time = state.time
         return self.enforce_boundary(self._substep(back, dt, back))
 

@@ -29,6 +29,9 @@ DET_GUARD = 1e-12
 # one block.
 BLOCK_NODES = 40_000
 
+# Block applies that may run at once, one per lane, each on its own scratch.
+LANES = 2
+
 
 class DegenerateStencilError(ValueError):
     pass
@@ -88,7 +91,9 @@ class FitTable:
     block is shorter than a lattice row (``ny`` nodes), so a later block
     reads nothing of the block before last, which lets a sweep write its
     results over its inputs (``MaxwellStepper.sweep``). A block computes
-    the uniform stencil, then overwrites its band nodes from ``w``.
+    the uniform stencil, then overwrites its band nodes from ``w``. Block
+    applies on different ``lane``s (0 to ``LANES - 1``) may run at once
+    on different threads: each lane has its own scratch.
 
     Every nonzero uniform weight of a row has one magnitude ``c`` (0.2,
     0.5/dx or 0.5/dy), so a block scales ``u`` by ``c`` once and adds or
@@ -131,8 +136,10 @@ class FitTable:
             (at - lo, wb, nbr) for (lo, _), at, wb, nbr in zip(
                 self.blocks, np.split(band, cuts), np.split(w, cuts, axis=2),
                 np.split(band + offsets[:, None], cuts, axis=1))]
-        # c*u over a block and a row either side, reused by every apply
-        self._cu = np.empty(max(hi - lo for lo, hi in self.blocks) + 2 * ny)
+        # Per lane: c*u over a block and a row either side, reused by
+        # every apply on that lane
+        self._cu = np.empty((LANES, max(hi - lo for lo, hi in self.blocks)
+                             + 2 * ny))
 
     @classmethod
     def build(cls, grid: GridTopology) -> "FitTable":
@@ -152,18 +159,24 @@ class FitTable:
                    grid.dx, grid.dy)
 
     def _apply(self, row: int, u: np.ndarray, out: np.ndarray | None,
-               block: int | None) -> np.ndarray:
+               block: int | None, lane: int) -> np.ndarray:
         """Weighted sum over (C, E, W, N, S) in that order: ``c*u`` once,
         then the first two scaled terms combined and the rest added or
         subtracted in place by sign; band nodes are overwritten from ``w``.
 
         With ``block`` set, computes block ``k = block`` of ``blocks`` into
-        ``out``, a flat array of the block's length; ring columns inside
-        the block get values the caller discards. Without it, runs every
-        block into a grid-shaped ``out`` and zeroes the whole ring."""
+        ``out``, a flat array of the block's length, using ``lane``'s
+        scratch; ring columns inside the block get values the caller
+        discards. Without it, runs every block on lane 0 into a
+        grid-shaped ``out`` and zeroes the whole ring. ``out`` may not
+        share memory with ``u``: a node would read neighbours already
+        overwritten."""
         if u.shape != self.valid.shape:
             raise ValueError(f"u has shape {u.shape}, the fit table's grid "
                              f"is {self.valid.shape}")
+        if out is not None and np.may_share_memory(out, u):
+            raise ValueError("out shares memory with u; the apply would read "
+                             "values it has already overwritten")
         if block is None:
             if out is None:
                 out = np.empty(self.valid.shape)
@@ -174,13 +187,16 @@ class FitTable:
                 raise ValueError("out must be C-contiguous")
             of = out.reshape(-1)
             for k, (lo, hi) in enumerate(self.blocks):
-                self._apply(row, u, of[lo:hi], k)
+                self._apply(row, u, of[lo:hi], k, 0)
             out[0, :] = out[-1, :] = 0.0
             out[:, 0] = out[:, -1] = 0.0
             return out
         if not 0 <= block < len(self.blocks):
             raise ValueError(f"block {block} is out of range: the fit table "
                              f"has {len(self.blocks)} blocks")
+        if not 0 <= lane < LANES:
+            raise ValueError(f"lane {lane} is out of range: there are "
+                             f"{LANES} lanes")
         lo, hi = self.blocks[block]
         n = hi - lo
         if out is not None and out.shape != (n,):
@@ -189,7 +205,7 @@ class FitTable:
         uf = u.reshape(-1)
         c, first, last, terms = self._scaled[row]
         cu = np.multiply(uf[lo + first:hi + last], c,
-                         out=self._cu[:n + last - first])
+                         out=self._cu[lane, :n + last - first])
         (s0, _), (s1, op1), *rest = terms
         out = op1(cu[s0:s0 + n], cu[s1:s1 + n], out=out)
         for s, op in rest:
@@ -204,19 +220,20 @@ class FitTable:
         return out
 
     def ddx(self, u: np.ndarray, out: np.ndarray | None = None,
-            block: int | None = None) -> np.ndarray:
+            block: int | None = None, lane: int = 0) -> np.ndarray:
         """Fitted d/dx over the interior; zeros on the outer ring. With
-        ``block``, only that block of ``blocks``, into its flat ``out``."""
-        return self._apply(0, u, out, block)
+        ``block``, only that block of ``blocks``, into its flat ``out``,
+        on ``lane``'s scratch."""
+        return self._apply(0, u, out, block, lane)
 
     def ddy(self, u: np.ndarray, out: np.ndarray | None = None,
-            block: int | None = None) -> np.ndarray:
-        return self._apply(1, u, out, block)
+            block: int | None = None, lane: int = 0) -> np.ndarray:
+        return self._apply(1, u, out, block, lane)
 
     def value(self, u: np.ndarray, out: np.ndarray | None = None,
-              block: int | None = None) -> np.ndarray:
+              block: int | None = None, lane: int = 0) -> np.ndarray:
         """Fitted (averaged) value over the interior; zeros on the ring."""
-        return self._apply(2, u, out, block)
+        return self._apply(2, u, out, block, lane)
 
     def stencil(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Neighbours ``(5, m)`` and weights ``(3, 5, m)`` of the nodes with

@@ -1,6 +1,10 @@
 import contextlib
 import functools
+import os
 import pickle
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -526,3 +530,205 @@ def assert_in_place_sweep_equals_new_arrays(setup):
     for name in ("hx", "hy", "ez"):
         assert np.array_equal(getattr(s, name), getattr(want, name))
         assert np.array_equal(getattr(s, name)[keep], getattr(given, name)[keep])
+
+
+# 257-node blocks on a 60-node row: every block holds ring columns and a
+# cut through rows, and the band of a shape spans several blocks, so
+# wherever the two lanes meet, the band and the ring straddle that block.
+LANE_BLOCK_NODES = 257
+
+
+def lane_setup(shape, monkeypatch, n=60):
+    monkeypatch.setattr(stencil, "BLOCK_NODES", LANE_BLOCK_NODES)
+    setup = build_setup(SimulationConfig(shape=shape), n)
+    assert len(setup.fits.blocks) > 2
+    return setup
+
+
+def random_state(grid, seed=7, t=0.2):
+    rng = np.random.default_rng(seed)
+    return FieldState(*(rng.normal(size=grid.shape) for _ in range(3)), t)
+
+
+def copy_state(s):
+    return FieldState(s.hx.copy(), s.hy.copy(), s.ez.copy(), s.time)
+
+
+def assert_states_bitwise_equal(got, want):
+    assert got.time == want.time
+    for name in ("hx", "hy", "ez"):
+        assert np.array_equal(getattr(got, name).view(np.uint64),
+                              getattr(want, name).view(np.uint64)), name
+
+
+def record_lanes(fits, monkeypatch, slow=None, fail=None):
+    """Wrap the fit table's applies on this instance: record the lane of
+    each block apply, sleep in lane ``slow`` and raise ``fail`` (a
+    ``(lane, error)`` pair) in that lane. Return ``{lane: set of blocks}``."""
+    seen: dict = {}
+    for name in ("value", "ddx", "ddy"):
+        apply = getattr(fits, name)
+
+        def wrapped(u, out=None, block=None, lane=0, apply=apply):
+            if block is not None:
+                seen.setdefault(lane, set()).add(block)
+            if fail is not None and lane == fail[0]:
+                raise fail[1]
+            if lane == slow:
+                time.sleep(0.002)
+            return apply(u, out, block, lane)
+        monkeypatch.setattr(fits, name, wrapped)
+    return seen
+
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(solver, "usable_cpus", lambda: count)
+
+
+class TestLanes:
+    """Two lanes that meet in the middle give one lane's fields bitwise;
+    the one-lane path, reached with one usable CPU, is the reference."""
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("shape", ["none", "circle", "half_moon"])
+    def test_two_lanes_sweep_as_one(self, shape, sign, in_place, monkeypatch):
+        setup = lane_setup(shape, monkeypatch)
+        st, dt = setup.stepper, sign * setup.dt
+        s = random_state(setup.grid)
+        with monkeypatch.context() as m:
+            cpus(m, 1)
+            assert st.lanes() == 1
+            want = st.sweep(copy_state(s), dt)
+        cpus(monkeypatch, 2)
+        assert st.lanes() == 2
+        seen = record_lanes(st.fits, monkeypatch)
+        given = copy_state(s)
+        got = st.sweep(given, dt, given if in_place else None)
+        assert (got is given) == in_place
+        assert_states_bitwise_equal(got, want)
+        assert_claims_meet(seen, len(st.fits.blocks))
+
+    @pytest.mark.parametrize("shape", ["none", "circle", "half_moon"])
+    def test_two_lanes_bfecc_step_as_one(self, shape, monkeypatch):
+        setup = lane_setup(shape, monkeypatch)
+        st = setup.stepper
+        # A step changes its input's PEC trace and ghosts, so each result
+        # is compared before it is stepped.
+        with monkeypatch.context() as m:
+            cpus(m, 1)
+            state = st.initial_state()
+            want = []
+            for _ in range(3):
+                state = st.bfecc_step(state, setup.dt)
+                want.append(copy_state(state))
+        cpus(monkeypatch, 2)
+        state = st.initial_state()
+        for w in want:
+            state = st.bfecc_step(state, setup.dt)
+            assert_states_bitwise_equal(state, w)
+
+    @pytest.mark.parametrize("slow", [0, 1])
+    def test_a_slow_lane_takes_fewer_blocks(self, slow, monkeypatch):
+        # The fast lane claims nearly every block, so the lanes meet next
+        # to the slow lane's end of the grid, and the fields are the same.
+        setup = lane_setup("circle", monkeypatch)
+        st = setup.stepper
+        s = random_state(setup.grid)
+        with monkeypatch.context() as m:
+            cpus(m, 1)
+            want = st.sweep(copy_state(s), setup.dt)
+        cpus(monkeypatch, 2)
+        seen = record_lanes(st.fits, monkeypatch, slow=slow)
+        got = copy_state(s)
+        assert_states_bitwise_equal(st.sweep(got, setup.dt, got), want)
+        count = len(st.fits.blocks)
+        assert_claims_meet(seen, count)
+        assert len(seen.get(slow, ())) < count // 2
+
+    def test_two_lanes_under_a_short_switch_interval(self, monkeypatch):
+        setup = lane_setup("half_moon", monkeypatch)
+        st = setup.stepper
+        s = random_state(setup.grid)
+        with monkeypatch.context() as m:
+            cpus(m, 1)
+            want = st.bfecc_step(copy_state(s), setup.dt)
+        cpus(monkeypatch, 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = st.bfecc_step(copy_state(s), setup.dt)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_states_bitwise_equal(got, want)
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        setup = lane_setup("circle", monkeypatch)
+        st = setup.stepper
+        cpus(monkeypatch, 2)
+        before = threading.active_count()
+        s = st.sweep(random_state(setup.grid), setup.dt)
+        assert threading.active_count() == before
+        st.bfecc_step(s, setup.dt)
+        assert threading.active_count() == before
+        during = []
+        st.run(4 * setup.dt, setup.dt,
+               on_step=lambda state, k: during.append(threading.active_count()))
+        assert during == [before] * 4
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("lane", [0, 1])
+    def test_a_lane_fault_comes_out_as_itself(self, lane, monkeypatch):
+        # The other lane is slow, so the failing lane claims a block.
+        setup = lane_setup("circle", monkeypatch)
+        st = setup.stepper
+        cpus(monkeypatch, 2)
+        error = RuntimeError(f"injected fault in lane {lane}")
+        record_lanes(st.fits, monkeypatch, slow=1 - lane, fail=(lane, error))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            st.sweep(random_state(setup.grid), setup.dt)
+        assert caught.value is error
+        assert threading.active_count() == before
+
+    def test_a_multi_block_setup_pickles(self, monkeypatch):
+        setup = lane_setup("half_moon", monkeypatch)
+        copy = pickle.loads(pickle.dumps(setup))
+        assert copy.fits.blocks == setup.fits.blocks
+        cpus(monkeypatch, 2)
+        s = random_state(setup.grid)
+        assert_states_bitwise_equal(copy.stepper.sweep(copy_state(s), setup.dt),
+                                    setup.stepper.sweep(copy_state(s), setup.dt))
+
+    def test_one_allowed_cpu_runs_one_lane(self, monkeypatch):
+        setup = lane_setup("none", monkeypatch)
+        st = setup.stepper
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert solver.usable_cpus() == 1 and st.lanes() == 1
+        seen = record_lanes(st.fits, monkeypatch)
+        st.bfecc_step(random_state(setup.grid), setup.dt)
+        assert list(seen) == [0]
+
+    @pytest.mark.parametrize("count, lanes", [(None, 1), (1, 1), (2, 2), (8, 2)])
+    def test_cpu_count_without_an_affinity_mask(self, count, lanes,
+                                                monkeypatch):
+        setup = lane_setup("none", monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert setup.stepper.lanes() == lanes
+
+    def test_one_block_runs_one_lane(self, monkeypatch):
+        setup = build_setup(SimulationConfig(shape="circle"), 60)
+        assert len(setup.fits.blocks) == 1
+        cpus(monkeypatch, 2)
+        assert setup.stepper.lanes() == 1
+
+
+def assert_claims_meet(seen, count):
+    """Lane 0 computed blocks 0..m and lane 1 blocks m+1..count-1."""
+    front, back = seen.get(0, set()), seen.get(1, set())
+    assert front == set(range(len(front)))
+    assert back == set(range(len(front), count))

@@ -220,6 +220,37 @@ class TestFitTable:
                                              rf"{hi - lo}"):
             fits.value(g.x, np.empty(500), 2)
 
+    @pytest.mark.parametrize("name", ["value", "ddx", "ddy"])
+    def test_out_overlapping_u_is_rejected(self, name):
+        # In place, band rows would read neighbours already overwritten.
+        _, _, fits, _ = circle_geometry(200)
+        v = np.random.default_rng(4).normal(size=fits.valid.shape)
+        for out in (v, v.T.T, v[::-1, ::-1][::-1, ::-1]):
+            with pytest.raises(ValueError, match="out shares memory with u"):
+                getattr(fits, name)(v, out=out)
+
+    @pytest.mark.parametrize("name", ["value", "ddx", "ddy"])
+    def test_block_out_overlapping_u_is_rejected(self, name, monkeypatch):
+        monkeypatch.setattr(stencil, "BLOCK_NODES", 500)
+        g = build_uniform_grid(Domain(), 60, 60)
+        fits = FitTable.build(g)
+        u = np.random.default_rng(4).normal(size=g.shape)
+        lo, hi = fits.blocks[3]
+        for lanes in ((), (1,)):
+            with pytest.raises(ValueError, match="out shares memory with u"):
+                getattr(fits, name)(u, u.reshape(-1)[lo:hi], 3, *lanes)
+        assert getattr(fits, name)(u, np.empty(hi - lo), 3).shape == (hi - lo,)
+
+    @pytest.mark.parametrize("lane", [2, -1])
+    def test_lane_out_of_range(self, lane, monkeypatch):
+        monkeypatch.setattr(stencil, "BLOCK_NODES", 500)
+        g = build_uniform_grid(Domain(), 60, 60)
+        fits = FitTable.build(g)
+        lo, hi = fits.blocks[1]
+        with pytest.raises(ValueError, match=rf"lane {lane} is out of range: "
+                                             r"there are 2 lanes"):
+            fits.ddy(g.x, np.empty(hi - lo), 1, lane)
+
     def test_no_operator_on_ring(self):
         # a ring node has no fit: its stencil reads itself at weight zero,
         # so it sums to the zeros the applies write on the ring
