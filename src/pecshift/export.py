@@ -8,14 +8,12 @@ rows per process whatever the grid size. Coordinates are the lattice
 lines' strings, formatted once, patched with the nodes whose bits differ
 from them (shifted nodes, -0.0, nan), each formatted once.
 
-Formatting is nearly all of an export, so on POSIX the writer formats in
-two processes that meet in between: the parent writes rows from the front
-into the file, and one forked child writes rows from the back into a side
-file next to it, which the parent appends in row order once the child has
-exited, and then deletes. They take the rows in between a chunk at a time,
-so the faster CPU formats more. The bytes are the same as writing every
-row in order in one process, which is what the writer does where
-``os.fork`` does not exist.
+Formatting is nearly all of an export, so where ``os.fork`` exists and
+``usable_cpus() >= 2`` (the solver's one CPU test) two processes share a
+file's row chunks by ``lane_claims`` (its one meet-in-the-middle rule):
+the parent writes chunks from the front into the file, one forked child
+chunks from the back into a side file, which the parent appends in row
+order and deletes. Elsewhere one process writes every row, the same bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import CLASS_NAMES, GridTopology, NodeClass
-from .solver import FieldState
+from .solver import FieldState, lane_claims, usable_cpus
 
 # Class name of each NodeClass code, indexed by the code.
 _NAME_BY_CODE = np.array([CLASS_NAMES[NodeClass(k)] for k in range(len(NodeClass))],
@@ -89,41 +87,21 @@ def _emit(fh, blocks, ny: int, rows: range) -> int:
     return size
 
 
-# The rows of a file are cut into this many chunks, which the two writing
-# processes share out as they go, so the one on the slower CPU formats
-# fewer (the two vCPUs of a KVM guest ran the same formatting up to 1.7x
-# apart in speed, for seconds at a time).
+# Chunks of a file's rows, shared out as the two writers go, so the slower
+# CPU formats fewer (two KVM vCPUs ran it up to 1.7x apart, for seconds).
 _CHUNKS = 32
 
 
-def _emit_chunks(fh, blocks, ny: int, chunks, order, claims) -> dict:
-    """Emit ``chunks[k]`` for ``k`` in ``order``: the first always, each
-    further one only after taking a token from ``claims``. Return the size
-    of each chunk emitted."""
-    sizes: dict = {}
-    for k in order:
-        if sizes and not claims.read(1):
-            break
-        sizes[k] = _emit(fh, blocks, ny, chunks[k])
-    return sizes
-
-
 def _emit_split(fh, path, blocks, ny: int, rows: range) -> None:
-    """Emit ``rows`` to ``fh`` from two processes that meet in between.
-
-    This process emits chunks of rows from the front into ``fh``; one
-    forked child emits chunks from the back into a side file in ``path``'s
-    directory, followed by the size of each. Each starts with its end
-    chunk and takes each further one by reading a token from a pipe that
-    holds one per remaining chunk. Once the child has exited, its chunks
-    are appended in row order and the side file is deleted."""
+    """Emit ``rows`` to ``fh`` in ``_CHUNKS`` chunks shared by ``lane_claims``
+    between this process (lane 0, into ``fh``) and one forked child (lane
+    1, into a side file in ``path``'s directory, then the size of each).
+    Once the child has exited, its chunks are appended in row order and
+    the side file is deleted."""
     n = len(rows)
     chunks = [rows[k * n // _CHUNKS:(k + 1) * n // _CHUNKS]
               for k in range(_CHUNKS)]
-    r, w = os.pipe()
-    with open(r, "rb", buffering=0) as claims:
-        with open(w, "wb") as tokens:
-            tokens.write(bytes(_CHUNKS - 2))
+    with lane_claims(_CHUNKS, 2) as claims:
         fd, side = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.",
                                     dir=os.path.dirname(os.path.abspath(path)))
         pid = 0
@@ -136,20 +114,19 @@ def _emit_split(fh, path, blocks, ny: int, rows: range) -> None:
                     # the test runner) runs or is flushed a second time.
                     status = 1
                     try:
-                        sizes = _emit_chunks(part, blocks, ny, chunks,
-                                             reversed(range(_CHUNKS)), claims)
+                        sizes = [0] * _CHUNKS
+                        for k in claims(1):
+                            sizes[k] = _emit(part, blocks, ny, chunks[k])
                         part.flush()
-                        part.buffer.write(struct.pack(
-                            f"{_CHUNKS}q",
-                            *(sizes.get(k, 0) for k in range(_CHUNKS))))
+                        part.buffer.write(struct.pack(f"{_CHUNKS}q", *sizes))
                         part.flush()
                         status = 0
                     except Exception:
                         traceback.print_exc()
                     finally:
                         os._exit(status)
-            first = 1 + max(_emit_chunks(fh, blocks, ny, chunks,
-                                         range(_CHUNKS), claims))
+            for last in claims(0):
+                _emit(fh, blocks, ny, chunks[last])
             status = os.waitpid(pid, 0)[1]
             pid = 0
             if status:
@@ -159,11 +136,10 @@ def _emit_split(fh, path, blocks, ny: int, rows: range) -> None:
             with open(side, "rb") as src:
                 src.seek(-8 * _CHUNKS, os.SEEK_END)
                 sizes = struct.unpack(f"{_CHUNKS}q", src.read(8 * _CHUNKS))
-                for k in range(first, _CHUNKS):
+                for k in range(last + 1, _CHUNKS):
                     src.seek(sum(sizes[k + 1:]))
                     for done in range(0, sizes[k], 1 << 16):
-                        piece = min(sizes[k] - done, 1 << 16)
-                        fh.buffer.write(src.read(piece))
+                        fh.buffer.write(src.read(min(sizes[k] - done, 1 << 16)))
         finally:
             if pid:  # this process failed first
                 os.kill(pid, signal.SIGKILL)
@@ -178,7 +154,7 @@ def _write(path, header: str, blocks, ny: int) -> None:
     try:
         with open(path, "w") as fh:
             fh.write(header)
-            if hasattr(os, "fork"):
+            if hasattr(os, "fork") and usable_cpus() >= 2:
                 _emit_split(fh, path, blocks, ny, rows)
             else:
                 _emit(fh, blocks, ny, rows)

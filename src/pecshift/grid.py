@@ -8,6 +8,7 @@ onto the curve; the lattice adjacency (E/W/N/S neighbors at ``i+-1``,
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
@@ -63,7 +64,12 @@ class GridTopology:
 
 
 def build_uniform_grid(domain: Domain, nx: int, ny: int) -> GridTopology:
-    """Uniform lattice over the domain; no node shifted yet."""
+    """Uniform lattice over the domain; no node shifted yet. Sizes go
+    through ``operator.index``: NumPy integers work, a float raises."""
+    try:
+        nx, ny = operator.index(nx), operator.index(ny)
+    except TypeError:
+        raise TypeError(f"grid size {nx!r}x{ny!r} is not an integer") from None
     if nx < 8 or ny < 8:
         raise GridError(f"grid must be at least 8x8 for stencils, got {nx}x{ny}")
     if domain.width <= 0 or domain.height <= 0:

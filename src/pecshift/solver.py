@@ -10,16 +10,16 @@ callable ``boundary_data(x, y, t) -> (hx, hy, ez)``; ``build_setup`` uses
 the analytic incident wave, valid while the scattered field cannot yet
 have reached the domain edge.
 
-Once the fit table has two or more blocks and the process may run on two
-or more CPUs, each sweep and each BFECC compensation runs in two lanes
-that meet in the middle: the calling thread and one helper thread, which
-is joined before the call returns, so no thread outlives it (forks of the
-exporters and pickling of the stepper see none). The results are bitwise
-those of one lane: every node's arithmetic is the same.
+One rule, :func:`lane_claims`, shares work here and in the exporters'
+forked writer: a front lane ascends and a back lane descends until they
+meet, in two lanes only where ``usable_cpus() >= 2``. With 2+ blocks, each
+sweep and BFECC compensation runs on this thread and a helper thread that
+is joined before the call returns, bitwise as in one lane.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import os
@@ -70,6 +70,35 @@ def _in_lanes(lanes: int, work: Callable[[int], object]) -> list:
     if "error" in helper:
         raise helper["error"]
     return [mine, helper["result"]]
+
+
+@contextlib.contextmanager
+def lane_claims(count: int, lanes: int):
+    """Yield ``claims(lane)``, the indices of ``range(count)`` that lane
+    ``lane`` of ``lanes`` (1 or 2) takes: lane 0 takes 0, 1, ..., lane 1
+    count-1, count-2, ..., each its first free and each further one for a
+    token from a pipe of ``count - lanes``, so each index is taken once, by
+    threads or across a fork. One lane takes ``range(count)``, with no
+    pipe; more tokens than a pipe surely holds raise ValueError, not block."""
+    if lanes == 1:
+        yield lambda lane: range(count)
+        return
+    tokens = max(count - lanes, 0)
+    if tokens > 4096:  # one page, the least a Linux pipe holds
+        raise ValueError(f"{tokens} tokens would block a pipe of one page")
+    r, w = os.pipe()
+    with open(r, "rb", buffering=0) as pipe:
+        with open(w, "wb") as fill:
+            fill.write(bytes(tokens))
+
+        def claims(lane):
+            # lane 1 stops short of 0, which lane 0 takes free
+            order = range(count) if lane == 0 else range(count - 1, 0, -1)
+            for k in order:
+                if k != order[0] and not pipe.read(1):
+                    return
+                yield k
+        yield claims
 
 
 class StabilityError(RuntimeError):
@@ -177,11 +206,10 @@ class MaxwellStepper:
         applies. Each node takes the fitted value, then adds or subtracts
         ``dt`` times each derivative term in turn, whatever the blocks, so
         the result is bitwise the whole-grid update. The blocks are shared
-        by :meth:`lanes` lanes that meet in the middle: lane 0 (this
-        thread) claims blocks from the front (0, 1, ...), lane 1 (a helper
-        thread) from the back (K-1, K-2, ...), one claim at a time under a
-        lock, so the lane on the faster CPU takes more. A lane computes
-        each block into one of its own two staging sets and writes a block
+        by :meth:`lanes` lanes through :func:`lane_claims`, lane 0 (this
+        thread) from the front and lane 1 (a helper thread) from the back,
+        so the lane on the faster CPU takes more. A lane computes each
+        block into one of its own two staging sets and writes a block
         to ``out`` only once it has computed the next: lane 0 writes k-1
         after k, lane 1 writes k+1 after k, and each lane's last block is
         written once both lanes are done. Every block is at least a row
@@ -196,16 +224,6 @@ class MaxwellStepper:
         results = [a.reshape(-1) for a in (out.hx, out.hy, out.ez)]
         kept = [a.reshape(-1)[self._keep_flat]
                 for a in (state.hx, state.hy, state.ez)]
-        ends = [0, len(f.blocks) - 1]  # next claim of lane 0 and of lane 1
-        claim_lock = threading.Lock()
-
-        def claim(lane):
-            with claim_lock:
-                if ends[0] > ends[1]:
-                    return None
-                k = ends[lane]
-                ends[lane] += 1 if lane == 0 else -1
-                return k
 
         def write_back(lane, k):
             lo, hi = f.blocks[k]
@@ -217,33 +235,31 @@ class MaxwellStepper:
             work = self._work[lane, :hi - lo]
 
             def term(apply, u):
-                g = apply(u, work, k, lane)
-                g *= dt
-                return g
+                return np.multiply(apply(u, work, k, lane), dt, out=work)
 
-            hx, hy, ez = self._stage[lane, k % 2, :, :hi - lo]
-            f.value(state.hx, hx, k, lane)
-            f.value(state.hy, hy, k, lane)
-            f.value(state.ez, ez, k, lane)
+            staged = hx, hy, ez = self._stage[lane, k % 2, :, :hi - lo]
+            for u, v in zip((state.hx, state.hy, state.ez), staged):
+                f.value(u, v, k, lane)
             hx -= term(f.ddy, state.ez)
             hy += term(f.ddx, state.ez)
             ez += term(f.ddx, state.hy)
             ez -= term(f.ddy, state.hx)
 
         def run_lane(lane):
-            """Claim, compute and write back; return the last block, which
-            is not yet written."""
+            """Claim, compute and write back; return the last, unwritten."""
             last = None
-            while (k := claim(lane)) is not None:
+            for k in claims(lane):
                 compute(lane, k)
                 if last is not None:
                     write_back(lane, last)
                 last = k
             return last
 
-        for lane, last in enumerate(_in_lanes(self.lanes(), run_lane)):
-            if last is not None:
-                write_back(lane, last)
+        lanes = self.lanes()
+        with lane_claims(len(f.blocks), lanes) as claims:
+            lasts = _in_lanes(lanes, run_lane)
+        for lane, last in enumerate(lasts):  # each lane takes a block
+            write_back(lane, last)
 
         for new, old in zip(results, kept):
             new[self._keep_flat] = old

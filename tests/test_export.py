@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pecshift import export
 from pecshift.config import SimulationConfig
 from pecshift.export import export_field, export_grid, export_vtk, read_field_csv
 from pecshift.grid import (CLASS_NAMES, NodeClass, apply_point_shift,
@@ -16,6 +17,13 @@ from pecshift.shapes import Domain, boundary_intersections
 from pecshift.solver import FieldState, run_simulation
 
 from conftest import CIRCLE, circle_geometry
+
+
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    """The forked writer runs whatever CPUs this host allows; the one-CPU
+    path is tested on its own."""
+    monkeypatch.setattr(export, "usable_cpus", lambda: 2)
 
 
 # Oracle: the per-node writers, one f"{v:.17g}" per float. The exporters
@@ -159,6 +167,26 @@ def test_exporter_leaves_only_its_file_and_no_child(exporter, tmp_path):
     exporter_calls(*non_square_case(), path)[exporter]()
     assert_no_child_left()
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("exporter", ["field", "vtk", "grid"])
+def test_one_usable_cpu_writes_in_process_the_same_bytes(exporter, tmp_path,
+                                                         monkeypatch):
+    forked, alone = tmp_path / "forked", tmp_path / "alone"
+    forked.mkdir()
+    alone.mkdir()
+    case = non_square_case()
+    exporter_calls(*case, forked / "out.txt")[exporter]()
+
+    def no_fork():
+        raise AssertionError("forked with one usable CPU")
+    monkeypatch.setattr(export, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    exporter_calls(*case, alone / "out.txt")[exporter]()
+    assert_no_child_left()
+    assert [p.name for p in alone.iterdir()] == ["out.txt"]
+    assert ((alone / "out.txt").read_bytes()
+            == (forked / "out.txt").read_bytes())
 
 
 class OneSideRows(np.ndarray):

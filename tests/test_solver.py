@@ -732,3 +732,99 @@ def assert_claims_meet(seen, count):
     front, back = seen.get(0, set()), seen.get(1, set())
     assert front == set(range(len(front)))
     assert back == set(range(len(front), count))
+
+
+PIPE = os.pipe  # unpatched, for the test's own pipes
+
+
+def take_in_lanes(claims, lanes, slow=None, fork=False):
+    """The indices each lane takes from ``claims``: lane 0 on this thread,
+    lane 1 on ``_in_lanes``' helper thread or, with ``fork``, in a forked
+    child. Lane ``slow`` sleeps after each index."""
+    def take(lane):
+        taken = []
+        for k in claims(lane):
+            taken.append(k)
+            if lane == slow:
+                time.sleep(0.002)
+        return taken
+
+    if not fork:
+        return solver._in_lanes(lanes, take)
+    r, w = PIPE()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.write(w, bytes(take(1)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    front = take(0)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    with open(r, "rb") as fh:
+        return [front, list(fh.read())]
+
+
+class TestLaneClaims:
+    """``lane_claims`` hands every index to exactly one lane: lane 0 a
+    prefix, lane 1 a suffix, between threads or across a fork."""
+
+    @pytest.fixture
+    def pipes(self, monkeypatch):
+        """The pipes ``lane_claims`` makes, as ``(read, write)`` fds."""
+        made = []
+
+        def recording_pipe():
+            made.append(PIPE())
+            return made[-1]
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        return made
+
+    @pytest.mark.parametrize("lanes, slow, fork", [
+        (1, None, False), (2, None, False), (2, 0, False), (2, 1, False),
+        (2, None, True), (2, 0, True), (2, 1, True)])
+    def test_every_index_once_from_both_ends(self, lanes, slow, fork, pipes):
+        for count in range(1, 41):
+            with solver.lane_claims(count, lanes) as claims:
+                taken = take_in_lanes(claims, lanes, slow, fork)
+            front, back = (taken + [[]])[:2]
+            assert front == list(range(len(front))), (count, taken)
+            assert back == list(range(count - 1, len(front) - 1, -1)), (
+                count, taken)
+            if slow is not None and count == 40:
+                assert len(taken[slow]) < count // 2, taken
+        assert len(pipes) == (0 if lanes == 1 else 40)
+        for fd in (fd for pair in pipes for fd in pair):
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    def test_tokens_a_pipe_may_not_hold_raise(self, pipes):
+        # 4096 tokens (one page) fill a pipe without blocking; one more,
+        # or far more than any pipe holds, raises before a pipe is made.
+        with solver.lane_claims(4098, 2) as claims:
+            assert next(iter(claims(1))) == 4097
+        for count in (4099, 1 << 22):
+            with pytest.raises(ValueError, match="would block a pipe"):
+                with solver.lane_claims(count, 2):
+                    pass
+        assert len(pipes) == 1
+
+
+@pytest.mark.parametrize("shape", ["circle", "half_moon"])
+def test_a_numpy_integer_size_steps_as_an_int(shape):
+    config = SimulationConfig(shape=shape)
+    states = []
+    for n in (np.int64(60), 60):
+        setup = build_setup(config, n)
+        assert type(setup.grid.nx) is int and type(setup.grid.ny) is int
+        states.append(setup.stepper.bfecc_step(setup.stepper.initial_state(),
+                                               setup.dt))
+    assert_states_bitwise_equal(*states)
+
+
+@pytest.mark.parametrize("size", [60.0, "60"])
+def test_a_size_that_is_not_an_integer_raises(size):
+    with pytest.raises(TypeError, match=r"grid size .*60.* is not an integer"):
+        build_setup(SimulationConfig(), size)
