@@ -204,7 +204,7 @@ def convergence_study(config, executor: Optional[ProcessPoolExecutor] = None
                 float(np.mean(np.abs(state.hx[mask] - rhx))))
 
     report = ErrorReport(grid_sizes=sizes,
-                         label=(f"{config.shape} shape, dt/dx={config.cfl:g}, "
+                         label=(f"{config.shape} shape, cfl={config.cfl:g}, "
                                 f"T={config.final_time:g}, reference "
                                 f"{config.reference_size}^2"))
     return _tabulate(report, runs, band_errors)

@@ -19,8 +19,9 @@ class ConfigError(ValueError):
     pass
 
 
-# Largest stable cfl (dt/dx) of each scheme on the uniform stencil, from
-# its von Neumann symbol g = a +- i cfl sqrt(sin^2 al + sin^2 be), with
+# Largest stable cfl = dt / min(dx, dy) of each scheme on the uniform
+# stencil, from its von Neumann symbol at dx = dy (a smaller axis ratio
+# only shrinks |g|) g = a +- i cfl sqrt(sin^2 al + sin^2 be), with
 # a = 0.2 (1 + 2 cos al + 2 cos be): the plain sweep needs |g|^2 <= 1,
 # BFECC's g (3 - |g|^2) / 2 needs |g|^2 <= 4.
 CFL_BOUNDS = {"plain": math.sqrt(2 / 5),
@@ -38,12 +39,12 @@ class SimulationConfig:
     - ``grid_size``: n of a single run; ``grid_sizes``: the strictly
       increasing ladder of a convergence study (comma or space separated);
       ``reference_size``: its reference run, at least twice the largest.
-    - ``cfl`` (dt/dx), ``omega`` (incident angular frequency, positive),
-      ``final_time`` (at most the time the scattered field needs to reach
-      the domain edge), ``scheme`` (``bfecc`` or ``plain``). ``cfl`` may
-      not exceed the scheme's free-space stability bound: sqrt(2/5) ~
-      0.63246 for ``plain``, sqrt(4.6 + sqrt(10.92))/2 ~ 1.40575 for
-      ``bfecc``.
+    - ``cfl`` (dt / min(dx, dy)), ``omega`` (incident angular frequency,
+      positive), ``final_time`` (at most the time the scattered field
+      needs to reach the domain edge), ``scheme`` (``bfecc`` or
+      ``plain``). ``cfl`` may not exceed the scheme's free-space stability
+      bound: sqrt(2/5) ~ 0.63246 for ``plain``, sqrt(4.6 + sqrt(10.92))/2
+      ~ 1.40575 for ``bfecc``.
     - ``band_width``: the study's error-sampling band outside the PEC, in
       coarsest-grid dx units.
     - ``snapshot_every``: steps between field snapshots of ``run``, 0 =

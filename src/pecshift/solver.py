@@ -14,7 +14,8 @@ One rule, :func:`lane_claims`, shares work here and in the exporters'
 forked writer: a front lane ascends and a back lane descends until they
 meet, in two lanes only where ``usable_cpus() >= 2``. With 2+ blocks, each
 sweep and BFECC compensation runs on this thread and a helper thread that
-is joined before the call returns, bitwise as in one lane.
+is joined before the call returns, bitwise as in one lane. No sweep writes
+over its input: a BFECC step allocates one field set and reuses a spare.
 """
 
 from __future__ import annotations
@@ -171,11 +172,10 @@ class MaxwellStepper:
             self._bnd_ny = extender.ls.normal_y.ravel()[self._bnd_flat].copy()
         elif self._bnd_flat.size:
             raise ValueError("boundary nodes present but no ghost extender")
-        # Per lane: one derivative term of a sweep's block, and two
-        # block-sized staging sets (hx, hy, ez) for a sweep's results.
-        longest = max(hi - lo for lo, hi in fits.blocks)
-        self._work = np.empty((LANES, longest))
-        self._stage = np.empty((LANES, 2, 3, longest))
+        # Per lane: one derivative term of a sweep's block. The spare field
+        # set holds each BFECC step's backward sub-step and compensation.
+        self._work = np.empty((LANES, max(hi - lo for lo, hi in fits.blocks)))
+        self._spare = FieldState(*(np.empty(grid.shape) for _ in range(3)))
 
     # -- elementary operations -------------------------------------------
 
@@ -188,7 +188,8 @@ class MaxwellStepper:
               out: Optional[FieldState] = None) -> FieldState:
         """One explicit update of all exterior and boundary nodes, written
         into ``out`` (new arrays when None), which is returned at time
-        ``state.time + dt``. ``out`` may be ``state`` itself.
+        ``state.time + dt``. An ``out`` that shares memory with ``state``
+        raises ValueError before any write.
 
         The update is ``A u + dt M u``: ``A`` is the 5-point fitted
         average, which does not depend on dt, and ``M`` the fitted Maxwell
@@ -208,61 +209,41 @@ class MaxwellStepper:
         the result is bitwise the whole-grid update. The blocks are shared
         by :meth:`lanes` lanes through :func:`lane_claims`, lane 0 (this
         thread) from the front and lane 1 (a helper thread) from the back,
-        so the lane on the faster CPU takes more. A lane computes each
-        block into one of its own two staging sets and writes a block
-        to ``out`` only once it has computed the next: lane 0 writes k-1
-        after k, lane 1 writes k+1 after k, and each lane's last block is
-        written once both lanes are done. Every block is at least a row
-        (``ny`` nodes) long and reads only ``ny`` nodes either side of
-        itself, so a block is written only after both its neighbours have
-        read it, and no block reads a result. The kept nodes' values are
-        gathered before the blocks and scattered back after them.
+        so the lane on the faster CPU takes more. Each lane writes its
+        blocks straight into ``out``; once both are done, the kept nodes
+        are copied from ``state``.
         """
         f = self.fits
         if out is None:
             out = FieldState(*(np.empty(self.grid.shape) for _ in range(3)))
+        olds = (state.hx, state.hy, state.ez)
+        if any(np.may_share_memory(new, old)
+               for new in (out.hx, out.hy, out.ez) for old in olds):
+            raise ValueError("out shares memory with state; the sweep would "
+                             "read values it has already overwritten")
         results = [a.reshape(-1) for a in (out.hx, out.hy, out.ez)]
-        kept = [a.reshape(-1)[self._keep_flat]
-                for a in (state.hx, state.hy, state.ez)]
-
-        def write_back(lane, k):
-            lo, hi = f.blocks[k]
-            for new, staged in zip(results, self._stage[lane, k % 2]):
-                new[lo:hi] = staged[:hi - lo]
-
-        def compute(lane, k):
-            lo, hi = f.blocks[k]
-            work = self._work[lane, :hi - lo]
-
-            def term(apply, u):
-                return np.multiply(apply(u, work, k, lane), dt, out=work)
-
-            staged = hx, hy, ez = self._stage[lane, k % 2, :, :hi - lo]
-            for u, v in zip((state.hx, state.hy, state.ez), staged):
-                f.value(u, v, k, lane)
-            hx -= term(f.ddy, state.ez)
-            hy += term(f.ddx, state.ez)
-            ez += term(f.ddx, state.hy)
-            ez -= term(f.ddy, state.hx)
 
         def run_lane(lane):
-            """Claim, compute and write back; return the last, unwritten."""
-            last = None
             for k in claims(lane):
-                compute(lane, k)
-                if last is not None:
-                    write_back(lane, last)
-                last = k
-            return last
+                lo, hi = f.blocks[k]
+                work = self._work[lane, :hi - lo]
+
+                def term(apply, u):
+                    return np.multiply(apply(u, work, k, lane), dt, out=work)
+
+                hx, hy, ez = new = [a[lo:hi] for a in results]
+                for u, v in zip(olds, new):
+                    f.value(u, v, k, lane)
+                hx -= term(f.ddy, state.ez)
+                hy += term(f.ddx, state.ez)
+                ez += term(f.ddx, state.hy)
+                ez -= term(f.ddy, state.hx)
 
         lanes = self.lanes()
         with lane_claims(len(f.blocks), lanes) as claims:
-            lasts = _in_lanes(lanes, run_lane)
-        for lane, last in enumerate(lasts):  # each lane takes a block
-            write_back(lane, last)
-
-        for new, old in zip(results, kept):
-            new[self._keep_flat] = old
+            _in_lanes(lanes, run_lane)
+        for new, old in zip(results, olds):
+            new[self._keep_flat] = old.reshape(-1)[self._keep_flat]
         out.time = state.time + dt
         return out
 
@@ -307,10 +288,11 @@ class MaxwellStepper:
         data thereby reaches 2 rows inward per step.
 
         The forward sub-step writes into new arrays, the step's only
-        full-grid allocation; the backward sub-step, the compensation and
-        the last forward sub-step all overwrite those arrays, which are
-        returned. So ``state`` is changed only by its PEC trace and
-        ghosts, and no two returned states share memory.
+        full-grid allocation; the backward sub-step and the compensation
+        fill the stepper's spare set, and the last forward sub-step writes
+        from it into the new arrays, which are returned. So ``state`` is
+        changed only by its PEC trace and ghosts, and no two returned
+        states share memory.
 
         The compensated state ``u + 0.5 (u - back)`` is formed over whole
         arrays, inside nodes included, and needs no mask there: the
@@ -320,7 +302,7 @@ class MaxwellStepper:
         and ``back`` and keep their value. With two :meth:`lanes`, each
         lane forms one half of the flat arrays."""
         fwd = self._substep(state, dt)
-        back = self._substep(fwd, -dt, fwd)
+        back = self._substep(fwd, -dt, self._spare)
         lanes = self.lanes()
         size = state.hx.size
 
@@ -335,7 +317,7 @@ class MaxwellStepper:
 
         _in_lanes(lanes, compensate)
         back.time = state.time
-        return self.enforce_boundary(self._substep(back, dt, back))
+        return self.enforce_boundary(self._substep(back, dt, fwd))
 
     def plain_step(self, state: FieldState, dt: float) -> FieldState:
         """Single forward sweep of the underlying first-order scheme."""
@@ -421,7 +403,8 @@ def build_setup(config, n: int) -> SimulationSetup:
                              functools.partial(incident_wave, omega=config.omega),
                              extender=extender)
     return SimulationSetup(grid=grid, classes=classes, fits=fits, ls=ls,
-                           stepper=stepper, dt=config.cfl * grid.dx)
+                           stepper=stepper,
+                           dt=config.cfl * min(grid.dx, grid.dy))
 
 
 def run_simulation(config, n: Optional[int] = None,

@@ -87,13 +87,10 @@ class FitTable:
 
     Applies run over ``blocks``: the flat range from node (1, 1) to
     (nx-2, ny-2) cut once, at build time, into ``(lo, hi)`` pieces of at
-    most ``BLOCK_NODES`` nodes, each with its own slice of the band. No
-    block is shorter than a lattice row (``ny`` nodes), so a later block
-    reads nothing of the block before last, which lets a sweep write its
-    results over its inputs (``MaxwellStepper.sweep``). A block computes
-    the uniform stencil, then overwrites its band nodes from ``w``. Block
-    applies on different ``lane``s (0 to ``LANES - 1``) may run at once
-    on different threads: each lane has its own scratch.
+    most ``BLOCK_NODES`` nodes, each with its own slice of the band. A
+    block computes the uniform stencil, then overwrites its band nodes
+    from ``w``. Block applies on different ``lane``s (0 to ``LANES - 1``)
+    may run at once on different threads: each lane has its own scratch.
 
     Every nonzero uniform weight of a row has one magnitude ``c`` (0.2,
     0.5/dx or 0.5/dy), so a block scales ``u`` by ``c`` once and adds or
@@ -128,7 +125,7 @@ class FitTable:
             self._scaled.append((c, offs.min(), offs.max(), [
                 (off - offs.min(), np.add if wk > 0 else np.subtract)
                 for wk, off in zip(ws[nz], offs)]))
-        self.blocks = split_blocks(ny + 1, valid.size - ny - 1, min_len=ny)
+        self.blocks = split_blocks(ny + 1, valid.size - ny - 1)
         # Per block: its band nodes' positions in the block, their weights
         # and their neighbors' flat indices.
         cuts = np.searchsorted(band, [lo for lo, _ in self.blocks[1:]])
@@ -250,13 +247,10 @@ class FitTable:
         return nbr, w
 
 
-def split_blocks(lo: int, hi: int, min_len: int) -> list:
+def split_blocks(lo: int, hi: int) -> list:
     """``[lo, hi)`` cut evenly into the fewest ``(start, stop)`` pieces of
-    at most ``BLOCK_NODES`` nodes, but into no piece shorter than
-    ``min_len`` when there is more than one: at most ``(hi - lo) //
-    min_len`` pieces, which may then exceed ``BLOCK_NODES``."""
-    count = -(-(hi - lo) // BLOCK_NODES)
-    count = max(1, min(count, (hi - lo) // min_len))
+    at most ``BLOCK_NODES`` nodes."""
+    count = max(1, -(-(hi - lo) // BLOCK_NODES))
     edges = [lo + (hi - lo) * k // count for k in range(count + 1)]
     return list(zip(edges[:-1], edges[1:]))
 

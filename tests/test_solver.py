@@ -107,22 +107,45 @@ class TestSweep:
         assert np.array_equal(out.ez[frozen], s.ez[frozen])
         assert np.array_equal(out.hx[frozen], s.hx[frozen])
 
-    @pytest.mark.parametrize("shape", ["circle", "half_moon", "none"])
-    def test_in_place_equals_new_arrays(self, shape, monkeypatch):
-        # 257-node blocks cut through the band and the ring columns.
-        monkeypatch.setattr(stencil, "BLOCK_NODES", 257)
-        setup = build_setup(SimulationConfig(shape=shape), 60)
-        assert len(setup.fits.blocks) > 1
-        assert_in_place_sweep_equals_new_arrays(setup)
-
-    def test_in_place_with_blocks_shorter_than_a_row(self, monkeypatch):
-        # Blocks of 17 nodes on a 24-node row would let a block read the
-        # results of the block before last; none is shorter than a row.
+    def test_blocks_shorter_than_a_row_in_two_lanes(self, monkeypatch):
+        # Blocks of 17 nodes on a 24-node row: a block reads nodes of the
+        # blocks before last and after next, which the other lane may be
+        # writing, all from the input. The reference is the whole-grid
+        # applies of a one-block fit table.
+        ref = build_setup(SimulationConfig(shape="none"), 24)
+        assert len(ref.fits.blocks) == 1
         monkeypatch.setattr(stencil, "BLOCK_NODES", 17)
         setup = build_setup(SimulationConfig(shape="none"), 24)
-        assert len(setup.fits.blocks) > 1
-        assert np.diff(setup.fits.blocks).min() >= setup.grid.ny
-        assert_in_place_sweep_equals_new_arrays(setup)
+        st, f, dt = setup.stepper, ref.fits, setup.dt
+        assert np.diff(st.fits.blocks).max() < setup.grid.ny
+        cpus(monkeypatch, 2)
+        assert st.lanes() == 2
+        seen = record_lanes(st.fits, monkeypatch)
+        s = random_state(setup.grid)
+        want = [f.value(s.hx) - f.ddy(s.ez) * dt,
+                f.value(s.hy) + f.ddx(s.ez) * dt,
+                f.value(s.ez) + f.ddx(s.hy) * dt - f.ddy(s.hx) * dt]
+        for new, old in zip(want, (s.hx, s.hy, s.ez)):
+            new[~f.valid] = old[~f.valid]
+        assert_states_bitwise_equal(st.sweep(copy_state(s), dt),
+                                    FieldState(*want, s.time + dt))
+        assert_claims_meet(seen, len(st.fits.blocks))
+        assert sorted(seen) == [0, 1]
+
+    @pytest.mark.parametrize("alias", ["state", "crossed", "one_array"])
+    def test_out_sharing_memory_with_state_raises(self, alias, monkeypatch):
+        # A crossed out passes each apply's own check (no apply reads the
+        # array it writes), yet its later blocks would read results.
+        setup = lane_setup("circle", monkeypatch)
+        cpus(monkeypatch, 2)
+        s = random_state(setup.grid)
+        given = copy_state(s)
+        fresh = [np.zeros(setup.grid.shape) for _ in range(2)]
+        out = {"state": s, "crossed": FieldState(s.ez, s.hx, s.hy),
+               "one_array": FieldState(*fresh, s.hx)}[alias]
+        with pytest.raises(ValueError, match="out shares memory with state"):
+            setup.stepper.sweep(s, setup.dt, out)
+        assert_states_bitwise_equal(s, given)
 
 
 class TestEnforceBoundary:
@@ -384,6 +407,19 @@ class TestRunSimulation:
         assert state.time == pytest.approx(0.5, abs=1e-12)
         assert np.isfinite(state.ez).all()
 
+    @pytest.mark.parametrize("scheme, cfl", [
+        ("bfecc", 1.0), ("bfecc", 1.4), ("plain", 0.63)])
+    def test_a_non_square_domain_steps_inside_the_bound(self, scheme, cfl):
+        # On 0-10 x 0-2.5 at n = 100, dy is a quarter of dx: dt = cfl dx
+        # would put dt/dy at 4 cfl, and the plane wave would grow without
+        # bound.
+        cfg = SimulationConfig(shape="none", domain_ymax=2.5, grid_size=100,
+                               final_time=1.0, scheme=scheme, cfl=cfl)
+        state, setup = run_simulation(cfg)
+        assert np.abs(state.ez).max() <= 1.5
+        assert setup.grid.dy < setup.grid.dx
+        assert setup.dt == cfl * setup.grid.dy
+
     def test_circle_run_stable_and_enforced(self):
         cfg = SimulationConfig(grid_size=50, final_time=0.4)
         state, setup = run_simulation(cfg)
@@ -515,23 +551,6 @@ def assert_bfecc_is_the_sub_steps_written_out(grid, classes, fits, st):
         state = out
 
 
-def assert_in_place_sweep_equals_new_arrays(setup):
-    """``sweep(s, dt, out=s)`` equals ``sweep(s, dt)`` bitwise on a random
-    state, and kept (ghost, deep-interior, ring) nodes keep their values."""
-    st, classes = setup.stepper, setup.classes
-    rng = np.random.default_rng(5)
-    s = FieldState(*(rng.normal(size=setup.grid.shape) for _ in range(3)), 0.2)
-    want = st.sweep(s, setup.dt)
-    given = FieldState(s.hx.copy(), s.hy.copy(), s.ez.copy(), s.time)
-    assert st.sweep(s, setup.dt, out=s) is s
-    assert s.time == want.time
-    keep = ((classes == NodeClass.GHOST) | (classes == NodeClass.DEEP_INTERIOR)
-            | ~setup.fits.valid)
-    for name in ("hx", "hy", "ez"):
-        assert np.array_equal(getattr(s, name), getattr(want, name))
-        assert np.array_equal(getattr(s, name)[keep], getattr(given, name)[keep])
-
-
 # 257-node blocks on a 60-node row: every block holds ring columns and a
 # cut through rows, and the band of a shape spans several blocks, so
 # wherever the two lanes meet, the band and the ring straddle that block.
@@ -589,10 +608,11 @@ class TestLanes:
     """Two lanes that meet in the middle give one lane's fields bitwise;
     the one-lane path, reached with one usable CPU, is the reference."""
 
-    @pytest.mark.parametrize("in_place", [False, True])
+    @pytest.mark.parametrize("given_out", [False, True])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("shape", ["none", "circle", "half_moon"])
-    def test_two_lanes_sweep_as_one(self, shape, sign, in_place, monkeypatch):
+    def test_two_lanes_sweep_as_one(self, shape, sign, given_out,
+                                    monkeypatch):
         setup = lane_setup(shape, monkeypatch)
         st, dt = setup.stepper, sign * setup.dt
         s = random_state(setup.grid)
@@ -603,11 +623,20 @@ class TestLanes:
         cpus(monkeypatch, 2)
         assert st.lanes() == 2
         seen = record_lanes(st.fits, monkeypatch)
+        # A given out starts as NaN, so a node no lane writes would show.
+        out = (FieldState(*(np.full(setup.grid.shape, np.nan)
+                            for _ in range(3))) if given_out else None)
         given = copy_state(s)
-        got = st.sweep(given, dt, given if in_place else None)
-        assert (got is given) == in_place
+        got = st.sweep(given, dt, out)
+        assert (got is out) == given_out
         assert_states_bitwise_equal(got, want)
+        assert_states_bitwise_equal(given, s)
         assert_claims_meet(seen, len(st.fits.blocks))
+        keep = ((setup.classes == NodeClass.GHOST) | ~st.fits.valid
+                | (setup.classes == NodeClass.DEEP_INTERIOR))
+        for name in ("hx", "hy", "ez"):
+            assert np.array_equal(getattr(got, name)[keep],
+                                  getattr(s, name)[keep])
 
     @pytest.mark.parametrize("shape", ["none", "circle", "half_moon"])
     def test_two_lanes_bfecc_step_as_one(self, shape, monkeypatch):
@@ -640,8 +669,7 @@ class TestLanes:
             want = st.sweep(copy_state(s), setup.dt)
         cpus(monkeypatch, 2)
         seen = record_lanes(st.fits, monkeypatch, slow=slow)
-        got = copy_state(s)
-        assert_states_bitwise_equal(st.sweep(got, setup.dt, got), want)
+        assert_states_bitwise_equal(st.sweep(copy_state(s), setup.dt), want)
         count = len(st.fits.blocks)
         assert_claims_meet(seen, count)
         assert len(seen.get(slow, ())) < count // 2
